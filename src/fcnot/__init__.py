@@ -4,8 +4,8 @@ Compile an arbitrary n-variable Boolean function into a quantum circuit
 that flips a target qubit exactly when the function is true, choosing
 between constructions with no auxiliary qubits and constructions whose
 non-Clifford rotations all fit in a single stage.  Every emitted circuit
-can be certified against a brute-force oracle by the embedded branching
-statevector simulator.
+can be certified against a brute-force oracle by an exact sum-over-paths
+check.
 """
 
 from .boolfn import (

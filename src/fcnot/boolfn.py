@@ -246,7 +246,8 @@ def parse_function(text: str) -> TruthTable:
     and operators ``~`` (NOT), ``&`` (AND), ``^`` (XOR), ``|`` (OR) with
     precedence ``~ > & > ^ > |``, left-associative, plus parentheses.  The
     variable count is the highest subscript mentioned (an expression with
-    no variables is treated as a 1-variable constant).
+    no variables is treated as a 1-variable constant).  Nesting deeper than
+    the interpreter's recursion limit is a ParseError.
     """
     stripped = text.strip()
     m = _HEX_RE.match(stripped)
@@ -254,7 +255,10 @@ def parse_function(text: str) -> TruthTable:
         return _parse_hex(m.group(1), m.group(2))
     if ":" in stripped:
         raise ParseError(f"malformed hex table {stripped!r}, expected 0x<hex>:<n>")
-    return _parse_expression(stripped)
+    try:
+        return _parse_expression(stripped)
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
 
 
 def _parse_hex(payload: str, n_text: str) -> TruthTable:

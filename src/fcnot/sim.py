@@ -1,15 +1,25 @@
-"""Branching statevector simulation and brute-force verification.
+"""Exact verification against the brute-force oracle, and the dense
+reference simulator.
 
-The simulator applies Clifford+R1 gates to dense statevectors.  A
+``verify`` compares every synthesized circuit with the reference permutation
+``|x>|y> -> |x>|y xor f(x)>`` by an exact sum over paths: all legal basis
+inputs run through the circuit at once as integer rows ``coef * w**e /
+sqrt(2)**h`` on basis indices, with ``w`` a power-of-two root of unity.  The
+rows are kept in a canonical form, so amplitudes compare with no float
+tolerance.  Per measurement branch the circuit is linear: if every input
+lands on its oracle image with one common amplitude, every superposition of
+legal inputs does too, so no random states are needed.  There is no qubit
+cap; circuits whose work (legal inputs x gates x 2**Hadamards) exceeds
+``WORK_BOUND`` are reported UNVERIFIABLE before any work starts.  No
+random state is drawn and no tolerance applies: ``random_states`` and
+``tolerance`` are accepted for compatibility and ignored, and ``seed`` is
+only echoed in the report.
+
+``apply`` runs Clifford+R1 gates on dense statevectors.  A
 measurement-conditioned block splits the state into the two Z-basis
 projections of the measured qubit; the block body runs only in the
-outcome-1 branch and simulation continues independently per branch.
-
-Verification compares every synthesized circuit against the reference
-permutation ``|x>|y> -> |x>|y xor f(x)>`` on all legal basis inputs and on
-seeded random superpositions of the legal subspace, per branch and up to a
-per-branch global phase.  Superposition inputs are what make the check
-sensitive to relative-phase errors, which basis inputs alone cannot see.
+outcome-1 branch and simulation continues independently per branch.  It
+is the reference that the tests check ``verify`` against.
 
 Amplitude index convention: qubit q is bit q of the index.
 """
@@ -31,9 +41,6 @@ from .circuit import Circuit, ConditionedBlock, Gate, GateKind
 from .synth import ConstructionKind, SynthesisResult, TargetContract
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-#: Largest circuit width verify() will simulate (2**24 amplitudes).
-QUBIT_CAP = 24
 
 #: Branches below this probability are dropped.
 PRUNE_THRESHOLD = 1e-14
@@ -242,12 +249,27 @@ def oracle_unitary(f: TruthTable, mode: OracleMode) -> Callable[[int], int]:
 
 
 # ---------------------------------------------------------------------------
-# Verification
+# Verification: exact sum over paths of every legal input at once
+
+
+#: Largest verification work verify() takes on, in row updates: legal
+#: inputs x gates x 2**(Hadamard gates), which bounds the path-sum rows
+#: every gate can touch.  Larger circuits are reported UNVERIFIABLE before
+#: any work starts.
+WORK_BOUND = 1 << 30
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of checking one synthesized circuit against the oracle."""
+    """Outcome of checking one synthesized circuit against the oracle.
+
+    ``random_inputs`` and ``tolerance`` are what the check used, always 0:
+    the exact check covers every superposition with no random input and no
+    float tolerance.  ``seed`` echoes the argument.
+    ``max_infidelity`` is 0.0 on PASS and the counterexample's infidelity on
+    FAIL.  ``max_branches`` counts the measurement branches reached and
+    ``peak_support`` is the most path-sum rows one input ever held.
+    """
 
     construction: str
     function: str
@@ -259,9 +281,171 @@ class VerificationReport:
     aux_restored: bool
     verdict: str
     counterexample: str | None
+    max_branches: int
+    peak_support: int
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
+
+
+_FIELDS = ("branch", "inp", "idx", "h", "e", "coef")
+
+
+@dataclass
+class _Terms:
+    """Path-sum rows of all legal inputs at once.
+
+    Row r is the term ``coef * w**e / sqrt(2)**h`` on basis index ``idx[r]``
+    for input number ``inp[r]`` in measurement branch ``branch[r]``, where
+    ``w = exp(i pi / 2**k)``.  Qubit q is bit ``q % 64`` of the uint64 word
+    ``idx[r, q // 64]``.  Phase gates add to the uint64 ``e`` modulo
+    ``2**64``, a multiple of the period ``2**(k + 1)`` of ``w``.  Since
+    ``w**(2**k) = -1``, the powers ``w**0 .. w**(2**k - 1)`` are an integer
+    basis of the amplitudes: before each merge and at the end, ``e`` is
+    reduced into ``[0, 2**k)`` and one row kept per (branch, inp, idx, e)
+    with a nonzero coefficient, which makes the form canonical, so
+    amplitudes compare exactly.
+    """
+
+    branch: np.ndarray
+    inp: np.ndarray
+    idx: np.ndarray
+    h: np.ndarray
+    e: np.ndarray
+    coef: np.ndarray
+
+    def select(self, rows) -> "_Terms":
+        return _Terms(*(getattr(self, name)[rows] for name in _FIELDS))
+
+    def join(self, other: "_Terms") -> "_Terms":
+        return _Terms(*(np.concatenate((getattr(self, name), getattr(other, name)))
+                        for name in _FIELDS))
+
+    def bit(self, q: int) -> np.ndarray:
+        return (self.idx[:, q >> 6] >> (q & 63)) & 1
+
+    def amplitude(self, rows, k: int) -> complex:
+        """The complex sum of the terms at ``rows``."""
+        phases = np.exp(1j * math.pi * self.e[rows] / (1 << k))
+        return complex(np.sum(self.coef[rows] * phases / math.sqrt(2.0) ** self.h[rows]))
+
+
+def _phase_exponent(g: Gate, k: int) -> int:
+    """The power of ``w = exp(i pi / 2**k)`` that ``g`` puts on |1>, mod
+    ``2**(k + 1)``."""
+    if g.kind is GateKind.S:
+        return 1 << (k - 1)
+    if g.kind is GateKind.SDG:
+        return 3 << (k - 1)
+    a = g.angle
+    step = a.numerator << (k + 1 - a.denominator.bit_length())
+    return (step if g.kind is GateKind.R1 else -step) % (2 << k)
+
+
+def _canonical(t: _Terms, k: int) -> None:
+    """Reduce every ``e`` into ``[0, 2**k)``, moving ``w**(2**k) = -1`` into
+    the sign of ``coef``."""
+    flip = ((t.e >> k) & 1).astype(bool)
+    t.coef = np.where(flip, -t.coef, t.coef)
+    t.e &= (1 << k) - 1
+
+
+def _merge(t: _Terms, k: int) -> _Terms:
+    """Sum the rows that share (branch, inp, idx, e) and drop zero rows."""
+    _canonical(t, k)
+    t = t.select(np.lexsort((*t.idx.T[::-1], t.e, t.inp, t.branch)))
+    new = np.ones(t.e.size, dtype=bool)
+    new[1:] = ((t.idx[1:] != t.idx[:-1]).any(axis=1) | (t.e[1:] != t.e[:-1])
+               | (t.inp[1:] != t.inp[:-1]) | (t.branch[1:] != t.branch[:-1]))
+    starts = np.flatnonzero(new)
+    coef = np.add.reduceat(t.coef, starts)
+    keep = coef != 0
+    t = t.select(starts[keep])
+    t.coef = coef[keep]
+    return t
+
+
+def _apply_terms(t: _Terms, g: Gate, k: int) -> _Terms:
+    """Apply one gate to every row; returns the (possibly new) rows."""
+    kind = g.kind
+    if kind is GateKind.CNOT:
+        control, target = g.qubits
+        t.idx[:, target >> 6] ^= t.bit(control) << (target & 63)
+        return t
+    (q,) = g.qubits
+    if kind is GateKind.X:
+        t.idx[:, q >> 6] ^= 1 << (q & 63)
+        return t
+    if kind is GateKind.H:
+        sign = 1 - 2 * t.bit(q).astype(np.int64)
+        low = t.idx.copy()
+        low[:, q >> 6] &= ~np.uint64(1 << (q & 63))
+        high = low.copy()
+        high[:, q >> 6] |= 1 << (q & 63)
+        return _merge(_Terms(
+            np.concatenate((t.branch, t.branch)), np.concatenate((t.inp, t.inp)),
+            np.concatenate((low, high)), np.concatenate((t.h, t.h)) + 1,
+            np.concatenate((t.e, t.e)), np.concatenate((t.coef, t.coef * sign)),
+        ), k)
+    t.e += t.bit(q) * _phase_exponent(g, k)
+    return t
+
+
+def _simulate(c: Circuit, t: _Terms, k: int, inputs: int):
+    """Run the circuit on the rows.  Returns (rows, the measurement
+    outcomes of each branch id, peak rows held by one input)."""
+    peak = 1
+    outcomes: list[dict[int, int]] = [{}]
+
+    def run(t: _Terms, gates, held_elsewhere) -> _Terms:
+        nonlocal peak
+        for g in gates:
+            t = _apply_terms(t, g, k)
+            if g.kind is GateKind.H:
+                held = np.bincount(t.inp, minlength=inputs) + held_elsewhere
+                peak = max(peak, int(held.max()))
+        return t
+
+    for el in c.elements:
+        if isinstance(el, ConditionedBlock):
+            q = el.measured_qubit
+            outcome = t.bit(q).astype(np.int64)
+            ids, t.branch = np.unique(t.branch * 2 + outcome, return_inverse=True)
+            outcomes = [{**outcomes[i >> 1], q: i & 1} for i in ids.tolist()]
+            rest = t.select(outcome == 0)
+            body = run(t.select(outcome == 1), el.body.elements,
+                       np.bincount(rest.inp, minlength=inputs))
+            t = rest.join(body)
+        else:
+            t = run(t, (el,), 0)
+    return t, outcomes, peak
+
+
+def _embed(layout, xs: np.ndarray, ys: np.ndarray, words: int) -> np.ndarray:
+    """Basis indices of the (x, y) pairs, auxiliaries at |0>, as words."""
+    idx = np.zeros((xs.size, words), dtype=np.uint64)
+    for i, q in enumerate(layout.controls):
+        idx[:, q >> 6] |= ((xs >> i) & 1).astype(np.uint64) << (q & 63)
+    idx[:, layout.target >> 6] |= ys.astype(np.uint64) << (layout.target & 63)
+    return idx
+
+
+def _unequal_amplitude(t: _Terms, inputs: int):
+    """The first (branch, input) whose amplitude differs from input 0's in
+    the same branch, or None.  Expects every row on its oracle image, so an
+    amplitude is its (e, coef) list."""
+    t = t.select(np.lexsort((t.e, t.inp, t.branch)))
+    bounds = np.flatnonzero(np.diff(t.branch)) + 1
+    for rows in np.split(np.arange(t.e.size), bounds):
+        counts = np.bincount(t.inp[rows], minlength=inputs)
+        differs = counts != counts[0]
+        if not differs.any():
+            e = t.e[rows].reshape(inputs, -1)
+            coef = t.coef[rows].reshape(inputs, -1)
+            differs = ((e != e[0]) | (coef != coef[0])).any(axis=1)
+        if differs.any():
+            return int(t.branch[rows[0]]), int(np.argmax(differs))
+    return None
 
 
 def verify(
@@ -272,116 +456,109 @@ def verify(
     seed: int = 1,
     tolerance: float = 1e-9,
 ) -> VerificationReport:
-    """Certify a synthesis result against the brute-force oracle.
+    """Certify a synthesis result against the brute-force oracle, exactly.
 
-    Every legal basis input and ``random_states`` seeded random
-    superpositions of the legal subspace are run with auxiliaries at |0>.
-    Each measurement branch must match the oracle image with fidelity at
-    least ``1 - tolerance`` (up to a per-branch global phase) and leave
-    every auxiliary qubit in |0>.  Circuits wider than ``QUBIT_CAP`` qubits
-    yield an explicit UNVERIFIABLE verdict rather than a silent pass.
+    All legal basis inputs, auxiliaries at |0>, run through the circuit at
+    once as exact sum-over-paths rows (see :class:`_Terms`); a conditioned
+    block splits the rows by the measured bit.  Per branch the circuit is
+    linear, so it agrees with the oracle on every superposition of legal
+    inputs iff every row of input x lands on x's oracle image (which also
+    restores the auxiliaries) and every input of the branch has the same
+    exact amplitude.  PASS means both hold.  A FAIL names a basis input
+    that lands elsewhere, or else the equal superposition of two inputs
+    whose amplitudes differ.  Circuits whose work (legal inputs x gates x
+    2**Hadamards) exceeds ``WORK_BOUND`` are reported UNVERIFIABLE before
+    any work starts.
+
+    ``random_states`` and ``tolerance`` are accepted for compatibility and
+    ignored; ``seed`` is echoed in the report.
     """
     mode = oracle_mode(result.kind)
     circuit = result.circuit
-    m = circuit.qubit_count
+    layout = result.layout
 
-    def report(verdict, basis=0, rand=0, max_inf=0.0, aux_ok=True, counter=None):
+    def report(verdict, basis=0, infidelity=0.0, aux_ok=True,
+               counter=None, branches=0, support=0):
         return VerificationReport(
             construction=result.kind.value,
             function=f.hex_form(),
             basis_inputs=basis,
-            random_inputs=rand,
+            random_inputs=0,
             seed=seed,
-            tolerance=tolerance,
-            max_infidelity=max_inf,
+            tolerance=0.0,
+            max_infidelity=infidelity,
             aux_restored=aux_ok,
             verdict=verdict,
             counterexample=counter,
+            max_branches=branches,
+            peak_support=support,
         )
 
-    if m > QUBIT_CAP:
+    gates = [g for el in circuit.elements
+             for g in (el.body.elements if isinstance(el, ConditionedBlock) else (el,))]
+    hadamards = sum(g.kind is GateKind.H for g in gates)
+    k = max([1] + [g.angle.denominator.bit_length() - 1
+                   for g in gates if g.angle is not None])
+    n = f.n
+    pairs = legal_basis_inputs(f, mode)
+    inputs = len(pairs)
+    work = inputs * len(gates) << hadamards
+    if work > WORK_BOUND:
         return report(
             "UNVERIFIABLE",
-            counter=f"unverifiable at this size ({m} qubits > cap {QUBIT_CAP})",
+            counter=f"unverifiable at this size ({work} row updates > bound {WORK_BOUND})",
         )
 
-    layout = result.layout
-    pairs = legal_basis_inputs(f, mode)
     image = oracle_unitary(f, mode)
-    n = f.n
+    xs, ys = np.array(pairs, dtype=np.int64).T
+    images = np.array([image(x + (y << n)) for x, y in pairs], dtype=np.int64)
+    words = (circuit.qubit_count + 63) >> 6
+    expected = _embed(layout, images & ((1 << n) - 1), images >> n, words)
+    zeros = np.zeros(inputs, dtype=np.int64)
+    start = _Terms(zeros, np.arange(inputs), _embed(layout, xs, ys, words), zeros.copy(),
+                   np.zeros(inputs, dtype=np.uint64), np.ones(inputs, dtype=np.int64))
+    t, outcomes, peak = _simulate(circuit, start, k, inputs)
+    _canonical(t, k)
 
-    def embed(x: int, y: int) -> int:
-        index = y << layout.target
-        for i, q in enumerate(layout.controls):
-            index |= ((x >> i) & 1) << q
-        return index
+    aux = np.zeros(words, dtype=np.uint64)
+    for q in layout.aux:
+        aux[q >> 6] |= np.uint64(1 << (q & 63))
+    aux_ok = not (t.idx & aux).any()
 
-    embedded_in = np.array([embed(x, y) for x, y in pairs])
-    embedded_out = np.array(
-        [embed(img & ((1 << n) - 1), img >> n)
-         for img in (image(x + (y << n)) for x, y in pairs)]
-    )
+    def label(i: int) -> str:
+        return f"basis x={int(xs[i]):0{n}b} y={int(ys[i])}"
 
-    if layout.aux:
-        aux_zero = np.ones(1 << m, dtype=bool)
-        for q in layout.aux:
-            aux_zero &= (np.arange(1 << m) >> q) & 1 == 0
+    off = np.flatnonzero((t.idx != expected[t.inp]).any(axis=1))
+    if off.size:
+        # the first basis input that lands off its image, in its first branch
+        r = off[np.lexsort((t.branch[off], t.inp[off]))[0]]
+        b, i = int(t.branch[r]), int(t.inp[r])
+        mine = np.flatnonzero((t.branch == b) & (t.inp == i))
+        by_index: dict[bytes, complex] = {}
+        for row in mine:
+            key = t.idx[row].tobytes()
+            by_index[key] = by_index.get(key, 0j) + t.amplitude([row], k)
+        norm = math.sqrt(sum(abs(a) ** 2 for a in by_index.values()))
+        infidelity = 1.0 - abs(by_index.get(expected[i].tobytes(), 0j)) / norm
+        what = label(i)
     else:
-        aux_zero = None
-
-    rng = np.random.default_rng(seed)
-    dim = 1 << m
-    max_infidelity = 0.0
-    aux_ok = True
-    counterexample = None
-
-    def run_case(label: str, weights: np.ndarray) -> bool:
-        """Returns False on the first failing branch."""
-        nonlocal max_infidelity, aux_ok, counterexample
-        state = np.zeros(dim, dtype=complex)
-        state[embedded_in] = weights
-        reference = np.zeros(dim, dtype=complex)
-        reference[embedded_out] = weights
-        for branch in apply(circuit, StateVector(m, state)).branches:
-            out = branch.state.amplitudes
-            infidelity = 1.0 - abs(np.vdot(reference, out))
-            max_infidelity = max(max_infidelity, infidelity)
-            branch_ok = infidelity <= tolerance
-            if aux_zero is not None:
-                aux_prob = float(np.sum(np.abs(out[aux_zero]) ** 2))
-                if aux_prob < 1.0 - tolerance:
-                    aux_ok = False
-                    branch_ok = False
-            if not branch_ok and counterexample is None:
-                counterexample = (
-                    f"input {label}, outcomes {branch.outcomes}, "
-                    f"infidelity {infidelity:.3e}"
-                )
-                return False
-        return True
-
-    ok = True
-    for pos, (x, y) in enumerate(pairs):
-        weights = np.zeros(len(pairs), dtype=complex)
-        weights[pos] = 1.0
-        if not run_case(f"basis x={x:0{n}b} y={y}", weights):
-            ok = False
-            break
-    if ok:
-        for trial in range(random_states):
-            alpha = rng.normal(size=len(pairs)) + 1j * rng.normal(size=len(pairs))
-            alpha /= np.linalg.norm(alpha)
-            if not run_case(f"random[{trial}]", alpha):
-                ok = False
-                break
-
+        found = _unequal_amplitude(t, inputs)
+        if found is None:
+            return report("PASS", basis=inputs, aux_ok=aux_ok,
+                          branches=len(outcomes), support=peak)
+        b, i = found
+        a0, a1 = (t.amplitude((t.branch == b) & (t.inp == j), k) for j in (0, i))
+        fidelity = abs(a0 + a1) / math.sqrt(2.0 * (abs(a0) ** 2 + abs(a1) ** 2))
+        infidelity = 1.0 - fidelity
+        what = f"({label(0)} + {label(i)})/sqrt2"
     return report(
-        "PASS" if ok else "FAIL",
-        basis=len(pairs),
-        rand=random_states,
-        max_inf=max_infidelity,
+        "FAIL",
+        basis=inputs,
+        infidelity=infidelity,
         aux_ok=aux_ok,
-        counter=counterexample,
+        counter=f"input {what}, outcomes {outcomes[b]}, infidelity {infidelity:.3e}",
+        branches=len(outcomes),
+        support=peak,
     )
 
 

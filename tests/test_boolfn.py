@@ -102,6 +102,14 @@ def test_parse_out_of_range_variable():
         parse_function("0x0:0")
 
 
+@pytest.mark.parametrize("text", ["(" * 3000 + "x1" + ")" * 3000, "~" * 3000 + "x1"],
+                         ids=["parentheses", "negations"])
+def test_parse_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_function(text)
+    assert parse_function("(" * 50 + "~" * 50 + "x1" + ")" * 50).bits == (0, 1)
+
+
 def test_parse_hex_payload_too_wide():
     with pytest.raises(ParseError):
         parse_function("0x10:1")  # 5 bits into a 2-entry table

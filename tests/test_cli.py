@@ -71,10 +71,31 @@ def test_verify_pass_exit_0(capsys):
 
 
 def test_verify_unverifiable_exit_3(capsys):
-    code, out, _ = run(capsys, "verify", "--func", "x1 & x2 & x3 & x4 & x5",
-                       "--construction", "general-depth1")
+    # above the verifier's work bound: 2**14 inputs x about 2**15 gates
+    code, out, _ = run(capsys, "verify", "--func", "0x1:13",
+                       "--construction", "general-lowwidth")
     assert code == 3
     assert json.loads(out)["verdict"] == "UNVERIFIABLE"
+
+
+@pytest.mark.parametrize("option", [("--random-states", "-1"), ("--tol", "-1"),
+                                    ("--tol", "nan")])
+def test_verify_negative_option_exits_2(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--func", "x1 & x2", "--construction", "and-depth1", *option])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "x1" + ")" * 3000, "~" * 3000 + "x1"],
+                         ids=["parentheses", "negations"])
+def test_verify_deeply_nested_expression_exits_2(capsys, text):
+    code, _, err = run(capsys, "verify", "--func", text,
+                       "--construction", "and-depth1")
+    assert code == 2
+    assert "nested too deeply" in err
 
 
 def test_verify_reproducible_bytes(capsys):
@@ -180,6 +201,33 @@ def test_table_requires_sample_for_large_n(capsys):
     code, _, err = run(capsys, "table", "--n", "4",
                        "--construction", "and-depth1")
     assert code == 2
+    assert "--sample" in err
+
+
+def test_table_samples_wide_functions(capsys):
+    code, out, _ = run(capsys, "table", "--n", "7",
+                       "--construction", "general-lowwidth", "--sample", "2")
+    assert code == 0
+    lines = out.rstrip("\n").splitlines()
+    assert len(lines) == 3
+    assert all(line.endswith(",PASS") for line in lines[1:])
+
+
+@pytest.mark.parametrize("n", ["0", "17"])
+def test_table_rejects_out_of_range_n(capsys, n):
+    code, out, err = run(capsys, "table", "--n", n,
+                         "--construction", "and-depth1", "--sample", "1")
+    assert code == 2
+    assert out == ""
+    assert "--n" in err
+
+
+@pytest.mark.parametrize("sample", ["0", "-1"])
+def test_table_rejects_sample_below_one(capsys, sample):
+    code, out, err = run(capsys, "table", "--n", "4",
+                         "--construction", "and-depth1", "--sample", sample)
+    assert code == 2
+    assert out == ""
     assert "--sample" in err
 
 

@@ -1,5 +1,6 @@
 """Simulator semantics, the reference oracle, and the verification harness."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcnot.boolfn import SpectralData, TruthTable, angles, spectrum
-from fcnot.circuit import Circuit, ConditionedBlock, cnot, h, r1, s, x
+from fcnot.circuit import Circuit, ConditionedBlock, Gate, cnot, h, r1, s, sdg, x
 from fcnot.sim import (
     OracleMode,
     StateVector,
     apply,
     diagonal_decomposition_check,
     legal_basis_inputs,
+    oracle_mode,
     oracle_unitary,
     state_equal_up_to_phase,
     verify,
@@ -191,7 +193,7 @@ def test_verify_passes_construction_1_on_and2():
     assert report.verdict == "PASS"
     assert report.max_infidelity < 1e-12
     assert report.basis_inputs == 8
-    assert report.random_inputs == 20
+    assert report.random_inputs == 0  # exact: no random state is drawn
     assert report.aux_restored
 
 
@@ -214,12 +216,45 @@ def test_verify_report_serializes_to_json():
 
 
 def test_verify_reports_unverifiable_sizes():
-    f = TruthTable.from_value(5, 1)
-    result = synthesize(f, ConstructionKind.GENERAL_DEPTH1)
-    assert result.circuit.qubit_count == 63
+    # 2**14 legal inputs x about 2**15 gates x 2**2 Hadamards > WORK_BOUND
+    f = TruthTable.from_value(13, 1)
+    result = synthesize(f, ConstructionKind.GENERAL_LOW_WIDTH)
     report = verify(result, f)
     assert report.verdict == "UNVERIFIABLE"
     assert "unverifiable" in report.counterexample
+    assert (report.max_branches, report.peak_support) == (0, 0)
+
+
+@pytest.mark.parametrize("kind, n", [
+    (ConstructionKind.GENERAL_DEPTH1, 4),
+    (ConstructionKind.GENERAL_DEPTH1, 5),
+    (ConstructionKind.GENERAL_DEPTH1, 6),  # 127 qubits: two index words
+    (ConstructionKind.AND_DEPTH1, 5),
+])
+def test_verify_passes_beyond_the_old_qubit_cap(kind, n):
+    rng = np.random.default_rng(n)
+    f = TruthTable(n, tuple(int(b) for b in rng.integers(0, 2, size=1 << n)))
+    result = synthesize(f, kind)
+    assert result.circuit.qubit_count > 24
+    report = verify(result, f)
+    assert report.verdict == "PASS", report.counterexample
+    assert report.max_infidelity == 0.0
+    assert (report.max_branches, report.peak_support) == (1, 2)
+
+
+def test_verify_reports_branches_and_support():
+    report = verify(synthesize(AND2, ConstructionKind.ANDDG_LOW_WIDTH), AND2)
+    assert (report.max_branches, report.peak_support) == (2, 2)
+
+
+def test_verify_verdict_ignores_seed_states_and_tolerance():
+    result = corrupted_low_width(AND2, 1)
+    reports = [verify(result, AND2, random_states=r, seed=sd, tolerance=tol)
+               for r, sd, tol in ((0, 1, 0.0), (20, 5, 1e-9), (3, 9, 0.5))]
+    assert {r.verdict for r in reports} == {"FAIL"}
+    assert len({r.counterexample for r in reports}) == 1
+    assert {(r.random_inputs, r.tolerance) for r in reports} == {(0, 0.0)}
+    assert [r.seed for r in reports] == [1, 5, 9]
 
 
 def test_verify_is_deterministic():
@@ -264,6 +299,135 @@ def test_randomized_verification_sweep():
             f = TruthTable(n, bits)
             report = verify(synthesize(f, kind), f, random_states=2, seed=13)
             assert report.verdict == "PASS", (kind, f.hex_form(), report.counterexample)
+
+
+# ---------------------------------------------------------------------------
+# verify() against the dense reference
+
+
+def dense_verdict(result, f: TruthTable, superpositions: int = 2) -> str:
+    """Reference check on the dense simulator: seeded random superpositions
+    of the legal basis inputs, each measurement branch matched against the
+    oracle image up to a global phase.  Per branch the circuit is linear,
+    so a random superposition exposes any defect with probability 1.  The
+    image has every auxiliary at |0>, so the fidelity bound covers their
+    restoration."""
+    mode = oracle_mode(result.kind)
+    layout = result.layout
+    m = result.circuit.qubit_count
+    n = f.n
+    image = oracle_unitary(f, mode)
+
+    def embed(index: int) -> int:
+        out = (index >> n) << layout.target
+        for i, q in enumerate(layout.controls):
+            out |= ((index >> i) & 1) << q
+        return out
+
+    legal = [x + (y << n) for x, y in legal_basis_inputs(f, mode)]
+    ins = [embed(k) for k in legal]
+    outs = [embed(image(k)) for k in legal]
+    rng = np.random.default_rng(len(legal))
+    for _ in range(superpositions):
+        weights = rng.normal(size=len(legal)) + 1j * rng.normal(size=len(legal))
+        weights /= np.linalg.norm(weights)
+        state = np.zeros(1 << m, dtype=complex)
+        state[ins] = weights
+        reference = np.zeros(1 << m, dtype=complex)
+        reference[outs] = weights
+        for branch in apply(result.circuit, StateVector(m, state)).branches:
+            if abs(np.vdot(reference, branch.state.amplitudes)) < 1 - 1e-9:
+                return "FAIL"
+    return "PASS"
+
+
+def negated_rotations(result):
+    """Every variant of the result with one rotation's angle negated,
+    inside conditioned blocks too."""
+    c = result.circuit
+
+    def negate(elements, i):
+        g = elements[i]
+        return elements[:i] + (Gate(g.kind, g.qubits, -g.angle),) + elements[i + 1:]
+
+    for i, el in enumerate(c.elements):
+        if isinstance(el, ConditionedBlock):
+            for j, g in enumerate(el.body.elements):
+                if g.is_rotation():
+                    body = Circuit(el.body.qubit_count, negate(el.body.elements, j))
+                    block = ConditionedBlock(el.measured_qubit, body)
+                    elements = c.elements[:i] + (block,) + c.elements[i + 1:]
+                    yield dataclasses.replace(
+                        result, circuit=Circuit(c.qubit_count, elements, c.roles))
+        elif el.is_rotation():
+            yield dataclasses.replace(
+                result, circuit=Circuit(c.qubit_count, negate(c.elements, i), c.roles))
+
+
+def test_verify_agrees_with_dense_reference_on_all_small_functions():
+    for n in (1, 2, 3):
+        for value in range(1 << (1 << n)):
+            f = TruthTable.from_value(n, value)
+            for kind in ConstructionKind:
+                result = synthesize(f, kind)
+                assert verify(result, f).verdict == dense_verdict(result, f) == "PASS"
+
+
+def test_verify_agrees_with_dense_reference_on_negated_rotations():
+    verdicts = {"PASS": 0, "FAIL": 0}
+    for n in (1, 2):
+        for value in range(1 << (1 << n)):
+            f = TruthTable.from_value(n, value)
+            for kind in ConstructionKind:
+                for mutant in negated_rotations(synthesize(f, kind)):
+                    report = verify(mutant, f)
+                    assert report.verdict == dense_verdict(mutant, f), (
+                        f.hex_form(), kind.value, report.counterexample)
+                    verdicts[report.verdict] += 1
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        f = TruthTable.from_value(3, int(rng.integers(0, 256)))
+        kind = list(ConstructionKind)[int(rng.integers(0, 6))]
+        mutants = list(negated_rotations(synthesize(f, kind)))
+        if mutants:
+            mutant = mutants[int(rng.integers(0, len(mutants)))]
+            report = verify(mutant, f)
+            assert report.verdict == dense_verdict(mutant, f), (
+                f.hex_form(), kind.value, report.counterexample)
+            verdicts[report.verdict] += 1
+    # negating a rotation by pi changes nothing, so both verdicts occur
+    assert verdicts["PASS"] and verdicts["FAIL"] > verdicts["PASS"]
+
+
+def test_verify_names_a_superposition_for_relative_phase_errors():
+    # a flip on an input-only ladder of general-lowwidth leaves every basis
+    # input on its image but changes relative phases between inputs
+    f = TruthTable.from_value(2, 0b1000)
+    result = synthesize(f, ConstructionKind.GENERAL_LOW_WIDTH)
+    mutant = next(negated_rotations(result))
+    assert mutant.circuit.elements[2].qubits == (0,)
+    report = verify(mutant, f)
+    assert report.verdict == dense_verdict(mutant, f) == "FAIL"
+    assert report.counterexample.startswith("input (basis x=00 y=0 + basis")
+    assert 0 < report.max_infidelity < 1
+    assert report.aux_restored
+
+
+def test_verify_phase_arithmetic_on_sdg_and_z():
+    # S = Z . Sdg, so swapping the opening S for Sdg then R1(pi) keeps the
+    # circuit; Sdg alone does not
+    result = synthesize(AND2, ConstructionKind.GENERAL_LOW_WIDTH)
+    elements = result.circuit.elements
+    assert elements[1] == s(2)
+
+    def with_opening(*gates):
+        circuit = Circuit(3, elements[:1] + gates + elements[2:], result.circuit.roles)
+        return dataclasses.replace(result, circuit=circuit)
+
+    same = with_opening(sdg(2), r1(Fraction(1), 2))
+    assert verify(same, AND2).verdict == dense_verdict(same, AND2) == "PASS"
+    wrong = with_opening(sdg(2))
+    assert verify(wrong, AND2).verdict == dense_verdict(wrong, AND2) == "FAIL"
 
 
 # ---------------------------------------------------------------------------
