@@ -96,14 +96,11 @@ class TruthTable:
         """Build a table from its packed integer (bit k of value = entry k)."""
         if value < 0 or value.bit_length() > 1 << n:
             raise ValueError(f"value does not fit a {1 << n}-entry table")
-        return cls(n, tuple((value >> k) & 1 for k in range(1 << n)))
+        return cls(n, tuple(map(int, format(value, f"0{1 << n}b")[::-1])))
 
     def value(self) -> int:
         """Packed integer form (bit k = entry k)."""
-        v = 0
-        for k, b in enumerate(self.bits):
-            v |= b << k
-        return v
+        return int("".join("01"[b] for b in reversed(self.bits)), 2)
 
     def hex_form(self) -> str:
         """Canonical text form, accepted by :func:`parse_function`."""

@@ -3,6 +3,10 @@
 Both outputs are deterministic: the same circuit always serializes to the
 same bytes, and every rotation angle appears as an exact integer-over-
 power-of-two multiple of pi, never as a floating-point literal.
+
+Both are linear in their output size.  The diagram is built one column at
+a time: each column's width is computed once, and a vertical connector
+fills its run of rows in one step.
 """
 
 from __future__ import annotations
@@ -38,52 +42,71 @@ def _gate_cells(gate: Gate) -> dict[int, str]:
                 GateKind.X: "X"}[kind]}
 
 
+def _centered(text: str, width: int, wire: str) -> str:
+    pad = width - len(text)
+    return wire * (pad // 2) + text + wire * (pad - pad // 2)
+
+
 class _DiagramBuilder:
     """Accumulates diagram columns with as-soon-as-possible placement."""
 
     def __init__(self, qubit_count: int) -> None:
         self.qubit_count = qubit_count
-        # Per column: cell text by row, vertical connector char by row,
-        # and the set of rows carrying a classical (double) wire.
+        # Per column: cell text by row, vertical connector runs as
+        # (first row, last row, char), and the rows carrying a classical
+        # (double) wire.
         self.cells: list[dict[int, str]] = []
-        self.links: list[dict[int, str]] = []
-        self.classical: list[set[int]] = []
+        self.links: list[list[tuple[int, int, str]]] = []
+        self.classical: list[list[int]] = []
         self.occupied = [-1] * qubit_count
 
-    def _place(self, rows: set[int], cells: dict[int, str], link: str | None) -> int:
-        column = 1 + max(self.occupied[r] for r in rows)
-        while len(self.cells) <= column:
+    def _place(self, lo: int, hi: int, cells: dict[int, str], link: str | None) -> int:
+        """Put ``cells`` in the first column free on rows ``lo..hi``."""
+        column = 1 + max(self.occupied[lo : hi + 1])
+        self.occupied[lo : hi + 1] = [column] * (hi + 1 - lo)
+        if column == len(self.cells):
             self.cells.append({})
-            self.links.append({})
-            self.classical.append(set())
+            self.links.append([])
+            self.classical.append([])
         self.cells[column].update(cells)
-        if link is not None and len(rows) > 1:
-            for r in range(min(rows) + 1, max(rows)):
-                if r not in cells:
-                    self.links[column][r] = link
-        for r in rows:
-            self.occupied[r] = column
+        if link is not None and hi - lo > 1:
+            self.links[column].append((lo + 1, hi - 1, link))
         return column
 
     def add_gate(self, gate: Gate, conditioned_on: int | None = None) -> int:
         cells = _gate_cells(gate)
-        rows = set(cells)
         link = "│"
-        if conditioned_on is not None and conditioned_on not in rows:
-            rows.add(conditioned_on)
+        if conditioned_on is not None and conditioned_on not in cells:
             cells[conditioned_on] = "●"
             link = "║"
-        span = set(range(min(rows), max(rows) + 1))
-        return self._place(span, cells, link)
+        return self._place(min(cells), max(cells), cells, link)
 
     def add_block(self, block: ConditionedBlock) -> None:
         q = block.measured_qubit
-        start = self._place({q}, {q: "M"}, None)
-        end = start
+        start = end = self._place(q, q, {q: "M"}, None)
         for gate in block.body.elements:
             end = self.add_gate(gate, conditioned_on=q)
         for column in range(start + 1, end + 1):
-            self.classical[column].add(q)
+            self.classical[column].append(q)
+
+    def columns(self) -> list[list[str]]:
+        """Every column as one equal-width text segment per row."""
+        out = []
+        for cells, links, classical in zip(self.cells, self.links, self.classical):
+            width = max(map(len, cells.values())) + 2
+            column = ["─" * width] * self.qubit_count
+            for lo, hi, char in links:
+                column[lo : hi + 1] = [_centered(char, width, "─")] * (hi + 1 - lo)
+            # A run can pass a cell of its own gate, such as a junction;
+            # the cell is drawn over it.
+            for q, text in cells.items():
+                column[q] = _centered(text, width, "─")
+            # Within a block only the block's own gates reach the measured
+            # row, and each puts a cell there, so no link crosses it.
+            for q in classical:
+                column[q] = _centered(cells.get(q, ""), width, "═")
+            out.append(column)
+        return out
 
 
 def to_text_diagram(c: Circuit, max_columns: int | None = None) -> str:
@@ -105,39 +128,25 @@ def to_text_diagram(c: Circuit, max_columns: int | None = None) -> str:
     labels = []
     for q in range(c.qubit_count):
         role = c.roles[q] if c.roles is not None else "q"
-        name = {"target": "y", "aux": "0"}.get(role, role if role != "q" else "q")
+        name = {"target": "y", "aux": "0"}.get(role, role)
         labels.append(f"{name}_{q}:")
     width = max(len(label) for label in labels)
     labels = [label.ljust(width + 1) for label in labels]
 
-    columns = list(zip(builder.cells, builder.links, builder.classical))
+    columns = builder.columns()
     if not columns:
         return "\n".join(f"{label}──" for label in labels)
 
-    chunks = [columns]
-    if max_columns is not None and max_columns > 0:
-        chunks = [
-            columns[i : i + max_columns]
-            for i in range(0, len(columns), max_columns)
-        ]
-
+    step = max_columns if max_columns is not None and max_columns > 0 else len(columns)
+    chunks = [columns[i : i + step] for i in range(0, len(columns), step)]
     sections = []
     for ci, chunk in enumerate(chunks):
-        lines = []
-        for q in range(c.qubit_count):
-            parts = [labels[q]]
-            if ci > 0:
-                parts.append("…")
-            for cells, links, classical in chunk:
-                wire = "═" if q in classical else "─"
-                text = cells.get(q, links.get(q, ""))
-                w = max(len(s) for s in [*cells.values(), ""]) + 2
-                pad = w - len(text)
-                parts.append(wire * (pad // 2) + text + wire * (pad - pad // 2))
-            if ci + 1 < len(chunks):
-                parts.append("…")
-            lines.append("".join(parts))
-        sections.append("\n".join(lines))
+        head = "…" if ci > 0 else ""
+        tail = "…" if ci + 1 < len(chunks) else ""
+        sections.append("\n".join(
+            label + head + "".join(row) + tail
+            for label, row in zip(labels, zip(*chunk))
+        ))
     return "\n\n".join(sections)
 
 

@@ -122,6 +122,24 @@ def test_hex_form_round_trips():
     assert parse_function(f.hex_form()).bits == f.bits
 
 
+def test_packed_value_round_trips_at_16_variables():
+    rng = np.random.default_rng(16)
+    f = TruthTable(16, tuple(int(b) for b in rng.integers(0, 2, size=1 << 16)))
+    value = f.value()
+    packed = np.packbits(np.array(f.bits, dtype=np.uint8), bitorder="little")
+    assert value == int.from_bytes(packed.tobytes(), "little")
+    assert TruthTable.from_value(16, value) == f
+    assert parse_function(f.hex_form()) == f
+
+
+def test_from_value_rejects_oversized_and_negative_values():
+    with pytest.raises(ValueError):
+        TruthTable.from_value(2, 1 << 4)
+    with pytest.raises(ValueError):
+        TruthTable.from_value(2, -1)
+    assert TruthTable.from_value(2, (1 << 4) - 1).bits == (1, 1, 1, 1)
+
+
 @given(tables)
 def test_parser_round_trip_on_hex(f):
     assert parse_function(f.hex_form()) == f

@@ -1,0 +1,123 @@
+"""Golden bytes of the text diagram.
+
+``diagram_golden.json`` holds the sha256 of ``to_text_diagram(c,
+max_columns=m)`` for every case below and every ``m`` in ``MAX_COLUMNS``.
+It pins the diagram byte for byte, so a renderer rewrite must reproduce
+the old output exactly.  Print the table for the current renderer with
+``PYTHONPATH=src python tests/test_export_golden.py``; replace the
+committed file only for an intended change of the picture.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fcnot.boolfn import TruthTable, parse_function
+from fcnot.circuit import (Circuit, ConditionedBlock, cnot, h, merge_s_gate, r1,
+                           r1dg, s, sdg, x)
+from fcnot.export import to_text_diagram
+from fcnot.synth import ConstructionKind, synthesize
+
+FIXTURE = Path(__file__).with_name("diagram_golden.json")
+
+MAX_COLUMNS = (None, 4, 80)
+
+#: Sparse expressions at n = 5, 6, 7, compiled with every construction.
+SPARSE = ("(x1 & x3) ^ x5", "(x2 | ~x4 | x6) ^ x1",
+          "(x1 & x2 | x1 & ~x7 | x2 & x7) ^ x4")
+
+#: Compiled with anddg-lowwidth, its conditioned block runs past column 4.
+WRAPPED_BLOCK = "anddg-lowwidth/0x8:2"
+
+
+def _seeded_table(n: int) -> TruthTable:
+    bits = np.random.default_rng([20201, n]).integers(0, 2, size=1 << n)
+    return TruthTable(n, tuple(int(b) for b in bits))
+
+
+def _hand_built() -> dict[str, Circuit]:
+    """Shapes the constructions do not emit: no roles, a conditioned gate
+    on the measured wire itself, a drop crossing the measured wire, a gap
+    in a block's columns, an empty block and an empty circuit."""
+    body = Circuit(5, (
+        cnot(4, 0),                  # spans the measured wire 2
+        r1(Fraction(1, 4), 2),       # on the measured wire
+        x(0),                        # leaves a gap on wire 2 before the next
+        cnot(0, 1), cnot(1, 0),
+        sdg(4),
+        r1dg(Fraction(3, 8), 3),
+    ))
+    gates = Circuit(5, (
+        h(2), s(1), x(4),
+        ConditionedBlock(2, body),
+        cnot(3, 1), r1(Fraction(-1, 2), 0), h(2),
+        ConditionedBlock(0, Circuit(5)),
+        cnot(0, 4),
+    ))
+    return {
+        "hand/no-roles": gates,
+        "hand/roles": Circuit(5, gates.elements, ("x1", "x2", "target", "aux", "aux")),
+        "hand/empty": Circuit(3, roles=("x1", "x2", "target")),
+    }
+
+
+def cases() -> dict[str, Circuit]:
+    out = {}
+    for n in (2, 3, 4):
+        f = _seeded_table(n)
+        for kind in ConstructionKind:
+            out[f"{kind.value}/seeded-n{n}"] = synthesize(f, kind).circuit
+    for text in SPARSE:
+        f = parse_function(text)
+        for kind in ConstructionKind:
+            out[f"{kind.value}/{text}"] = synthesize(f, kind).circuit
+    f = parse_function("0x8:2")
+    for kind in ConstructionKind:
+        out[f"{kind.value}/0x8:2"] = synthesize(f, kind).circuit
+    out["merged/general-lowwidth/0xb6:3"] = merge_s_gate(
+        synthesize(parse_function("0xb6:3"), ConstructionKind.GENERAL_LOW_WIDTH).circuit)
+    out.update(_hand_built())
+    return out
+
+
+def digests() -> dict[str, str]:
+    return {
+        f"{name} m={m}": hashlib.sha256(
+            to_text_diagram(circuit, max_columns=m).encode()).hexdigest()
+        for name, circuit in cases().items()
+        for m in MAX_COLUMNS
+    }
+
+
+def test_diagram_bytes_match_golden():
+    want = json.loads(FIXTURE.read_text())
+    got = digests()
+    assert sorted(got) == sorted(want)
+    changed = [key for key in want if got[key] != want[key]]
+    assert not changed, changed
+
+
+def test_golden_covers_a_block_across_a_wrap():
+    """The measured wire is classical on both sides of a section break."""
+    kind, text = WRAPPED_BLOCK.split("/")
+    circuit = synthesize(parse_function(text), ConstructionKind(kind)).circuit
+    sections = [sec.splitlines() for sec in to_text_diagram(circuit, max_columns=4).split("\n\n")]
+    assert any(
+        left.endswith("═…") and "…═" in right
+        for first, second in zip(sections, sections[1:])
+        for left, right in zip(first, second)
+    )
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_nonpositive_max_columns_does_not_wrap(m):
+    circuit = synthesize(parse_function("0x8:2"), ConstructionKind.ANDDG_DEPTH1).circuit
+    assert to_text_diagram(circuit, max_columns=m) == to_text_diagram(circuit)
+
+
+if __name__ == "__main__":
+    print(json.dumps(digests(), indent=1, sort_keys=True))
