@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,20 +120,20 @@ def pm_one_vector(f: TruthTable) -> np.ndarray:
 def walsh_hadamard(v) -> np.ndarray:
     """Hadamard transform of an integer vector of power-of-two length.
 
-    Computed by the in-place butterfly transform in ``O(n * 2**n)`` integer
-    additions.  Self-inverse up to the factor ``2**n``.
+    Computed in place in ``O(n * 2**n)`` integer additions, as one
+    vectorised butterfly ``(lo, hi) -> (lo + hi, lo - hi)`` per bit of the
+    index: for bit b, ``lo`` and ``hi`` are the entries with that bit clear
+    and set, as views of the vector reshaped to ``(-1, 2, 2**b)``.
+    Self-inverse up to the factor ``2**n``.
     """
     a = np.array(v, dtype=np.int64)
     if a.ndim != 1 or a.size == 0 or a.size & (a.size - 1):
         raise ValueError("length must be a positive power of two")
-    h = 1
-    while h < a.size:
-        for start in range(0, a.size, 2 * h):
-            lo = a[start : start + h].copy()
-            hi = a[start + h : start + 2 * h]
-            a[start : start + h] = lo + hi
-            a[start + h : start + 2 * h] = lo - hi
-        h *= 2
+    for b in range(a.size.bit_length() - 1):
+        lo, hi = a.reshape(-1, 2, 1 << b).swapaxes(0, 1)
+        lo += hi
+        hi *= -2
+        hi += lo
     return a
 
 
@@ -171,10 +172,9 @@ class AngleTable:
 def angles(sd: SpectralData) -> AngleTable:
     """Angle table derived from spectral coefficients."""
     den = 1 << (sd.n + 1)
-    return AngleTable(
-        n=sd.n,
-        angles=tuple(Fraction(int(s), den) for s in sd.coefficients),
-    )
+    coefficients = sd.coefficients.tolist()
+    distinct = {s: Fraction(s, den) for s in set(coefficients)}
+    return AngleTable(n=sd.n, angles=tuple(map(distinct.__getitem__, coefficients)))
 
 
 def lifted_spectrum(sd: SpectralData) -> np.ndarray:
@@ -212,11 +212,13 @@ class GrayCode:
     deltas: tuple[int, ...]
 
 
+@lru_cache(maxsize=MAX_VARIABLES + 1)
 def gray_code(n: int) -> GrayCode:
     """Standard reflected binary Gray code starting at the all-zero word.
 
     ``deltas[k] = rho(k + 1)`` except for the final wrap-around step, which
-    flips the top bit ``n - 1``.
+    flips the top bit ``n - 1``.  Codes are immutable and cached, one per
+    n up to ``MAX_VARIABLES``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -5,7 +5,9 @@ sub-blocks, over integer-indexed qubits.  Rotation angles are exact rational
 multiples of pi (Fractions in units of pi with power-of-two denominators), so
 Clifford detection and adjoint bookkeeping never touch floating point.
 
-Circuits are immutable after construction; every function here is pure.
+Gates and circuits are immutable after construction; every function here
+is pure.  One gate object may therefore stand at many positions of one or
+more circuits, and the constructions build each distinct gate only once.
 """
 
 from __future__ import annotations
@@ -27,34 +29,26 @@ class GateKind(Enum):
     R1DG = "r1dg"
 
 
-_ARITY = {
-    GateKind.H: 1,
-    GateKind.S: 1,
-    GateKind.SDG: 1,
-    GateKind.X: 1,
-    GateKind.CNOT: 2,
-    GateKind.R1: 1,
-    GateKind.R1DG: 1,
-}
-
-_ROTATIONS = frozenset({GateKind.R1, GateKind.R1DG})
+# Reading a member off an Enum class runs Python code; hot paths compare
+# kinds by identity against these module-level names instead.
+_CNOT, _R1, _R1DG = GateKind.CNOT, GateKind.R1, GateKind.R1DG
+_ROTATIONS = (_R1, _R1DG)
+_SELF_ADJOINT = (GateKind.H, GateKind.X, _CNOT)
 
 _ADJOINT_KIND = {
-    GateKind.H: GateKind.H,
     GateKind.S: GateKind.SDG,
     GateKind.SDG: GateKind.S,
-    GateKind.X: GateKind.X,
-    GateKind.CNOT: GateKind.CNOT,
     GateKind.R1: GateKind.R1DG,
     GateKind.R1DG: GateKind.R1,
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """A single gate.  ``angle`` (units of pi) is set only for R1/R1DG.
 
-    For CNOT, ``qubits`` is ``(control, target)``.
+    For CNOT, ``qubits`` is ``(control, target)``.  Gates are immutable,
+    so one object may stand at many positions of one or more circuits.
     """
 
     kind: GateKind
@@ -62,21 +56,24 @@ class Gate:
     angle: Fraction | None = None
 
     def __post_init__(self) -> None:
-        arity = _ARITY[self.kind]
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind.value} takes {arity} qubit(s)")
-        if min(self.qubits) < 0:
+        kind, qubits = self.kind, self.qubits
+        if type(kind) is not GateKind:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        arity = 2 if kind is _CNOT else 1
+        if len(qubits) != arity:
+            raise ValueError(f"{kind.value} takes {arity} qubit(s)")
+        if min(qubits) < 0:
             raise ValueError("qubit indices must be nonnegative")
-        if self.kind is GateKind.CNOT and self.qubits[0] == self.qubits[1]:
+        if arity == 2 and qubits[0] == qubits[1]:
             raise ValueError("CNOT control and target must differ")
-        if self.kind in _ROTATIONS:
+        if kind is _R1 or kind is _R1DG:
             if self.angle is None:
-                raise ValueError(f"{self.kind.value} requires an angle")
+                raise ValueError(f"{kind.value} requires an angle")
             d = self.angle.denominator
             if d & (d - 1):
                 raise ValueError("rotation denominators must be powers of two")
         elif self.angle is not None:
-            raise ValueError(f"{self.kind.value} takes no angle")
+            raise ValueError(f"{kind.value} takes no angle")
 
     def is_rotation(self) -> bool:
         return self.kind in _ROTATIONS
@@ -89,6 +86,8 @@ class Gate:
         return self.angle.denominator <= 2
 
     def adjoint(self) -> "Gate":
+        if self.kind in _SELF_ADJOINT:
+            return self
         return Gate(_ADJOINT_KIND[self.kind], self.qubits, self.angle)
 
 
@@ -113,11 +112,15 @@ def cnot(control: int, target: int) -> Gate:
 
 
 def r1(angle: Fraction, q: int) -> Gate:
-    return Gate(GateKind.R1, (q,), Fraction(angle))
+    return Gate(_R1, (q,), _exact(angle))
 
 
 def r1dg(angle: Fraction, q: int) -> Gate:
-    return Gate(GateKind.R1DG, (q,), Fraction(angle))
+    return Gate(_R1DG, (q,), _exact(angle))
+
+
+def _exact(angle) -> Fraction:
+    return angle if type(angle) is Fraction else Fraction(angle)
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ class ConditionedBlock:
     def __post_init__(self) -> None:
         if self.measured_qubit < 0:
             raise ValueError("qubit indices must be nonnegative")
-        if any(not isinstance(el, Gate) for el in self.body.elements):
+        if set(map(type, self.body.elements)) - {Gate}:
             raise ValueError("conditioned blocks cannot nest measurements")
 
 
@@ -156,18 +159,20 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.qubit_count < 0:
             raise ValueError("qubit_count must be nonnegative")
-        for el in self.elements:
+        width = self.qubit_count
+        # Gates are shared between positions, so each object is checked once.
+        for el in dict(zip(map(id, self.elements), self.elements)).values():
             if isinstance(el, ConditionedBlock):
-                if el.measured_qubit >= self.qubit_count:
+                if el.measured_qubit >= width:
                     raise ValueError("measured qubit out of range")
-                if el.body.qubit_count != self.qubit_count:
+                if el.body.qubit_count != width:
                     raise ValueError("block body must match the circuit width")
-            elif max(el.qubits) >= self.qubit_count:
+            elif max(el.qubits) >= width:
                 raise ValueError("gate qubit out of range")
         if self.roles is not None:
             if len(self.roles) != self.qubit_count:
                 raise ValueError("one role per qubit required")
-            for role in self.roles:
+            for role in dict.fromkeys(self.roles):
                 if not _ROLE_RE.match(role):
                     raise ValueError(f"invalid role {role!r}")
 
@@ -206,27 +211,29 @@ def rotation_depth(c: Circuit) -> int:
     interleaving dependencies, this greedy schedule attains the minimum.
     """
     depth = [0] * c.qubit_count
+    _sweep(depth, c.elements)
+    return max(depth, default=0)
 
-    def sweep_gate(g: Gate) -> None:
-        d = max(depth[q] for q in g.qubits)
-        if g.kind in _ROTATIONS and g.angle.denominator > 2:
-            d += 1
-        for q in g.qubits:
-            depth[q] = d
 
-    for el in c.elements:
+def _sweep(depth: list[int], elements: tuple[CircuitElement, ...]) -> None:
+    """Advance the per-qubit stage counters of :func:`rotation_depth` over
+    ``elements``.  Only CNOTs (two wires) and non-Clifford rotations (one
+    stage more) change them."""
+    for el in elements:
         if isinstance(el, ConditionedBlock):
-            touched = {el.measured_qubit}
-            for g in el.body.elements:
-                touched.update(g.qubits)
+            touched = {el.measured_qubit}.union(*[g.qubits for g in el.body.elements])
             d0 = max(depth[q] for q in touched)
             for q in touched:
                 depth[q] = d0
-            for g in el.body.elements:
-                sweep_gate(g)
-        else:
-            sweep_gate(el)
-    return max(depth, default=0)
+            _sweep(depth, el.body.elements)
+        elif el.kind is _CNOT:
+            a, b = el.qubits
+            if depth[a] < depth[b]:
+                depth[a] = depth[b]
+            else:
+                depth[b] = depth[a]
+        elif el.angle is not None and el.angle.denominator > 2:
+            depth[el.qubits[0]] += 1
 
 
 @dataclass(frozen=True)
@@ -258,41 +265,27 @@ class ResourceCounts:
 def resource_counts(c: Circuit) -> ResourceCounts:
     """Gate tallies.  Conditioned-block bodies are counted unconditionally,
     so the result is an outcome-independent upper bound."""
-    counts = {"cnot": 0, "r1": 0, "r1nc": 0, "h": 0, "s": 0, "x": 0, "m": 0}
-
-    def tally(g: Gate) -> None:
-        if g.kind is GateKind.CNOT:
-            counts["cnot"] += 1
-        elif g.kind is GateKind.H:
-            counts["h"] += 1
-        elif g.kind in (GateKind.S, GateKind.SDG):
-            counts["s"] += 1
-        elif g.kind is GateKind.X:
-            counts["x"] += 1
-        else:
-            counts["r1"] += 1
-            if not g.is_clifford():
-                counts["r1nc"] += 1
-
+    gates: list[Gate] = []
+    measurements = 0
     for el in c.elements:
         if isinstance(el, ConditionedBlock):
-            counts["m"] += 1
-            for g in el.body.elements:
-                tally(g)
+            measurements += 1
+            gates.extend(el.body.elements)
         else:
-            tally(el)
-
-    aux = sum(1 for r in c.roles or () if r == "aux")
+            gates.append(el)
+    kinds = [g.kind for g in gates]
+    # A rotation is Clifford iff its angle's denominator is 1 or 2.
+    denominators = [g.angle.denominator for g in gates if g.angle is not None]
     return ResourceCounts(
-        cnot=counts["cnot"],
-        r1_total=counts["r1"],
-        r1_non_clifford=counts["r1nc"],
-        h=counts["h"],
-        s=counts["s"],
-        x=counts["x"],
-        measurements=counts["m"],
+        cnot=kinds.count(GateKind.CNOT),
+        r1_total=len(denominators),
+        r1_non_clifford=len(denominators) - denominators.count(1) - denominators.count(2),
+        h=kinds.count(GateKind.H),
+        s=kinds.count(GateKind.S) + kinds.count(GateKind.SDG),
+        x=kinds.count(GateKind.X),
+        measurements=measurements,
         qubits=c.qubit_count,
-        auxiliary=aux,
+        auxiliary=(c.roles or ()).count("aux"),
     )
 
 

@@ -34,14 +34,16 @@ def _construction(name: str) -> synth.ConstructionKind:
         raise argparse.ArgumentTypeError(f"expected one of: {choices}") from None
 
 
-def _nonnegative(convert):
+def _number(convert, minimum: int, adjective: str):
+    """argparse type: ``convert`` the text and require ``>= minimum``
+    (which NaN fails)."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = None
-        if value is None or not value >= 0:
-            raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text}")
+        if value is None or not value >= minimum:
+            raise argparse.ArgumentTypeError(f"expected a {adjective} number, got {text}")
         return value
 
     return parse
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-s", action="store_true",
                    help="absorb the designated S gate into the first adjoint "
                    "rotation on the target")
-    p.add_argument("--max-columns", type=int, default=None,
+    p.add_argument("--max-columns", type=_number(int, 1, "positive"), default=None,
                    help="wrap text diagrams after this many gate columns")
     p.set_defaults(func_impl=cmd_synth)
 
@@ -168,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_construction(p)
     p.add_argument("--seed", type=int, default=1, help="echoed in the report")
     # The check is exact: it draws no random state and applies no tolerance.
-    p.add_argument("--random-states", type=_nonnegative(int), default=20,
+    p.add_argument("--random-states", type=_number(int, 0, "nonnegative"), default=20,
                    help="ignored; kept for compatibility")
-    p.add_argument("--tol", type=_nonnegative(float), default=1e-9,
+    p.add_argument("--tol", type=_number(float, 0, "nonnegative"), default=1e-9,
                    help="ignored; kept for compatibility")
     p.set_defaults(func_impl=cmd_verify)
 

@@ -130,7 +130,7 @@ def to_text_diagram(c: Circuit, max_columns: int | None = None) -> str:
         role = c.roles[q] if c.roles is not None else "q"
         name = {"target": "y", "aux": "0"}.get(role, role)
         labels.append(f"{name}_{q}:")
-    width = max(len(label) for label in labels)
+    width = max(map(len, labels), default=0)
     labels = [label.ljust(width + 1) for label in labels]
 
     columns = builder.columns()
@@ -159,22 +159,31 @@ def to_qasm(c: Circuit) -> str:
     an ``if (c[0] == 1) { ... }`` region.
     """
     lines = [f"qubit q[{c.qubit_count}];", "bit c[1];"]
+    # Constructions share gate objects, so each distinct one is formatted
+    # once; ids are stable while ``c`` holds the gates.
+    formatted: dict[int, str] = {}
+    cnot_kind, r1_kind = GateKind.CNOT, GateKind.R1
 
     def gate_line(gate: Gate) -> str:
+        line = formatted.get(id(gate))
+        if line is not None:
+            return line
         kind = gate.kind
-        if kind is GateKind.CNOT:
-            return f"cx q[{gate.qubits[0]}],q[{gate.qubits[1]}];"
-        (q,) = gate.qubits
-        if kind in (GateKind.R1, GateKind.R1DG):
-            angle = gate.angle if kind is GateKind.R1 else -gate.angle
-            return f"p({angle.numerator}*pi/{angle.denominator}) q[{q}];"
-        return f"{kind.value} q[{q}];"
+        if kind is cnot_kind:
+            line = f"cx q[{gate.qubits[0]}],q[{gate.qubits[1]}];"
+        elif gate.angle is not None:
+            num = gate.angle.numerator if kind is r1_kind else -gate.angle.numerator
+            line = f"p({num}*pi/{gate.angle.denominator}) q[{gate.qubits[0]}];"
+        else:
+            line = f"{kind.value} q[{gate.qubits[0]}];"
+        formatted[id(gate)] = line
+        return line
 
     for el in c.elements:
         if isinstance(el, ConditionedBlock):
             lines.append(f"measure q[{el.measured_qubit}] -> c[0];")
             lines.append("if (c[0] == 1) {")
-            lines.extend(f"  {gate_line(g)}" for g in el.body.elements)
+            lines.extend(["  " + gate_line(g) for g in el.body.elements])
             lines.append("}")
         else:
             lines.append(gate_line(el))

@@ -22,8 +22,12 @@ rotations, conditioned on the measurement outcome.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, zip_longest
 
 from .boolfn import (
     AngleTable,
@@ -142,60 +146,50 @@ def synthesize(f: TruthTable, kind: ConstructionKind) -> SynthesisResult:
 # Shared emission helpers
 
 
-def _rotation(table: AngleTable, sd: SpectralData, j: int, qubit: int,
-              dagger: bool, doubled: bool = False) -> Gate | None:
-    """Rotation for spectral index j on ``qubit``; None if the coefficient
-    vanishes (zero angle, identity elision)."""
-    if sd.coefficients[j] == 0:
-        return None
-    angle = table.angles[j] * 2 if doubled else table.angles[j]
-    return r1dg(angle, qubit) if dagger else r1(angle, qubit)
+def _angle_of(coefficients: list[int], table: AngleTable,
+              doubled: bool = False) -> dict[int, Fraction]:
+    """The angle theta_j of each distinct coefficient value s_j, doubled
+    if asked.  Only a few hundred distinct values occur even at n = 16,
+    so each angle is made once."""
+    angle_of = dict(zip(coefficients, table.angles))
+    return {value: a * 2 for value, a in angle_of.items()} if doubled else angle_of
 
 
-def _combination_ladder(sd: SpectralData, table: AngleTable, i: int,
-                        dagger: bool, doubled: bool) -> list[Gate]:
-    """Gray-code ladder on wire i phasing every combination whose leading
-    variable is x_{i+1}: rotate by theta at index ``2**i + v_k``, then step
-    the wire with a CNOT from bit position delta_k.  The cycle closes, so
-    the wire ends holding x_{i+1} again.  For i == 0 there is a single
-    step and no CNOT.
+def _ladder(coefficients: list[int], angle_of: dict[int, Fraction], wire: int,
+            base: int, rotation: Callable[[Fraction, int], Gate]) -> list[Gate]:
+    """Gray-code ladder on ``wire`` over the wires below it: ``rotation``
+    (r1 or r1dg) by theta at index ``base + v_k``, then step the wire with
+    a CNOT from bit position delta_k.  The cycle closes, so the wire ends
+    holding what it started with.  On wire i with base ``2**i`` it phases
+    every combination whose leading variable is x_{i+1}; on the target
+    wire n with base 0 it walks the target through every combination XOR
+    y.  On wire 0 there is a single step and no CNOT.
+
+    Each distinct gate is built once: one rotation per distinct nonzero
+    coefficient and one CNOT per control wire.
     """
-    code = gray_code(i)
-    out: list[Gate] = []
-    for k in range(1 << i):
-        g = _rotation(table, sd, (1 << i) + code.codewords[k], i, dagger, doubled)
-        if g is not None:
-            out.append(g)
-        if i > 0:
-            out.append(cnot(code.deltas[k], i))
-    return out
+    code = gray_code(wire)
+    block = coefficients[base : base + (1 << wire)]
+    gate_of = {value: rotation(angle_of[value], wire) for value in set(block) if value}
+    phases = map(gate_of.get, map(block.__getitem__, code.codewords))
+    steps = map([cnot(c, wire) for c in range(wire)].__getitem__, code.deltas)
+    # A zero coefficient gives no phase gate (None) and wire 0 no step.
+    return list(filter(None, chain.from_iterable(zip_longest(phases, steps))))
 
 
-def _target_ladder(sd: SpectralData, table: AngleTable, n: int) -> list[Gate]:
-    """Gray-code ladder on the target wire n: adjoint rotation by theta at
-    the current codeword, then a CNOT from the control at bit position
-    delta_k, walking the target through every combination XOR y."""
-    code = gray_code(n)
-    out: list[Gate] = []
-    for k in range(1 << n):
-        g = _rotation(table, sd, code.codewords[k], n, dagger=True)
-        if g is not None:
-            out.append(g)
-        out.append(cnot(code.deltas[k], n))
-    return out
-
-
-def _prep_pairs(limit: int) -> list[tuple[int, int, int]]:
-    """CNOT schedule preparing combination wires: for each composite label
-    ``3 <= k < limit`` (weight != 1), seed from the wire of the trailing
-    bit, then fold in the rest from wire ``k - trailing_bit(k)``.  Returns
-    (k, seed_control, fold_control) in increasing k, which guarantees every
-    fold source is finalized before use."""
-    out = []
-    for k in range(3, limit):
-        if mu(k) != 1:
-            out.append((k, trailing_bit(k), k - trailing_bit(k)))
-    return out
+@lru_cache(maxsize=8)
+def _prep(size: int, shift: int) -> tuple[tuple[int, ...], tuple[Gate, ...],
+                                           tuple[Gate, ...]]:
+    """The auxiliary wires and the CNOT schedules C1 and C2 preparing them,
+    with label k on physical qubit ``k + shift``.  There is one auxiliary
+    wire per composite label ``3 <= k < size`` (weight != 1): C1 seeds it
+    from the wire of the trailing bit, and C2 folds in the rest from wire
+    ``k - trailing_bit(k)``.  Increasing k guarantees every fold source is
+    finalized before use.  Cached, since it depends only on the size."""
+    labels = [k for k in range(3, size) if mu(k) != 1]
+    return (tuple(k + shift for k in labels),
+            tuple(cnot(trailing_bit(k) + shift, k + shift) for k in labels),
+            tuple(cnot(k - trailing_bit(k) + shift, k + shift) for k in labels))
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +214,12 @@ def synth_general_low_width(f: TruthTable) -> SynthesisResult:
 def _general_low_width_from_spectrum(sd: SpectralData,
                                      table: AngleTable) -> SynthesisResult:
     n = sd.n
+    coefficients = sd.coefficients.tolist()
+    angle_of = _angle_of(coefficients, table)
     elements: list[CircuitElement] = [h(n), s(n)]
     for i in range(n):
-        elements.extend(_combination_ladder(sd, table, i, dagger=False, doubled=False))
-    elements.extend(_target_ladder(sd, table, n))
+        elements += _ladder(coefficients, angle_of, i, 1 << i, r1)
+    elements += _ladder(coefficients, angle_of, n, 0, r1dg)
     elements.append(h(n))
     layout = Layout(controls=tuple(range(n)), target=n, aux=())
     circuit = Circuit(n + 1, tuple(elements), layout.roles(n + 1))
@@ -247,27 +243,21 @@ def synth_general_depth1(f: TruthTable) -> SynthesisResult:
     size = 1 << (n + 1)
     target = (1 << n) - 1  # physical index of label 2**n
 
-    prep: list[Gate] = []
-    pairs = _prep_pairs(size)
-    prep.extend(cnot(seed - 1, k - 1) for k, seed, _ in pairs)
-    prep.extend(cnot(fold - 1, k - 1) for k, _, fold in pairs)
-    unprep = [g.adjoint() for g in reversed(prep)]
+    aux, c1, c2 = _prep(size, -1)
+    prep = c1 + c2
 
-    rotations: list[Gate] = []
-    for k in range(1, 1 << n):
-        g = _rotation(table, sd, k, k - 1, dagger=False)
-        if g is not None:
-            rotations.append(g)
-    for k in range(1 << n):
-        g = _rotation(table, sd, k, (1 << n) + k - 1, dagger=True)
-        if g is not None:
-            rotations.append(g)
+    coefficients = sd.coefficients.tolist()
+    angle_of = _angle_of(coefficients, table)
+    rotations = [r1(angle_of[v], k - 1) for k, v in enumerate(coefficients) if k and v]
+    rotations += [r1dg(angle_of[v], (1 << n) + k - 1)
+                  for k, v in enumerate(coefficients) if v]
 
-    elements = [h(target), s(target), *prep, *rotations, *unprep, h(target)]
+    # CNOT is self-adjoint, so the preparation is undone by its reverse.
+    elements = [h(target), s(target), *prep, *rotations, *prep[::-1], h(target)]
     layout = Layout(
         controls=tuple((1 << i) - 1 for i in range(n)),
         target=target,
-        aux=tuple(k - 1 for k in range(1, size) if mu(k) != 1),
+        aux=aux,
     )
     circuit = Circuit(size - 1, tuple(elements), layout.roles(size - 1))
     return SynthesisResult(
@@ -290,8 +280,9 @@ def synth_and_low_width(f: TruthTable) -> SynthesisResult:
     table = angles(sd)
     n = sd.n
     elements: list[CircuitElement] = [h(n), s(n)]
-    elements.extend(_target_ladder(sd, table, n))
-    elements.extend([h(n), s(n)])
+    coefficients = sd.coefficients.tolist()
+    elements += _ladder(coefficients, _angle_of(coefficients, table), n, 0, r1dg)
+    elements += [h(n), s(n)]
     layout = Layout(controls=tuple(range(n)), target=n, aux=())
     circuit = Circuit(n + 1, tuple(elements), layout.roles(n + 1))
     return SynthesisResult(ConstructionKind.AND_LOW_WIDTH, circuit, layout, 0)
@@ -312,24 +303,19 @@ def synth_and_depth1(f: TruthTable) -> SynthesisResult:
     n = sd.n
     size = 1 << n
 
-    pairs = _prep_pairs(size)
-    c1 = [cnot(seed, k) for k, seed, _ in pairs]
-    c2 = [cnot(fold, k) for k, _, fold in pairs]
-    c3 = [cnot(0, 1 << i) for i in range(n)]
-    prep = [*c1, *c3, *c2]
-    unprep = [g.adjoint() for g in reversed(prep)]
+    aux, c1, c2 = _prep(size, 0)
+    c3 = tuple(cnot(0, 1 << i) for i in range(n))
+    prep = c1 + c3 + c2
 
-    rotations: list[Gate] = []
-    for k in range(size):
-        g = _rotation(table, sd, k, k, dagger=True)
-        if g is not None:
-            rotations.append(g)
+    coefficients = sd.coefficients.tolist()
+    angle_of = _angle_of(coefficients, table)
+    rotations = [r1dg(angle_of[v], k) for k, v in enumerate(coefficients) if v]
 
-    elements = [h(0), s(0), *prep, *rotations, *unprep, h(0), s(0)]
+    elements = [h(0), s(0), *prep, *rotations, *prep[::-1], h(0), s(0)]
     layout = Layout(
         controls=tuple(1 << i for i in range(n)),
         target=0,
-        aux=tuple(k for k in range(3, size) if mu(k) != 1),
+        aux=aux,
     )
     circuit = Circuit(size, tuple(elements), layout.roles(size))
     return SynthesisResult(
@@ -351,9 +337,11 @@ def synth_anddg_low_width(f: TruthTable) -> SynthesisResult:
     table = angles(sd)
     n = sd.n
 
+    coefficients = sd.coefficients.tolist()
+    angle_of = _angle_of(coefficients, table, doubled=True)
     body: list[Gate] = []
     for i in range(n):
-        body.extend(_combination_ladder(sd, table, i, dagger=False, doubled=True))
+        body += _ladder(coefficients, angle_of, i, 1 << i, r1)
     body.append(x(n))
 
     layout = Layout(controls=tuple(range(n)), target=n, aux=())
@@ -377,22 +365,18 @@ def synth_anddg_depth1(f: TruthTable) -> SynthesisResult:
     n = sd.n
     size = 1 << n
 
-    pairs = _prep_pairs(size)
-    prep = [cnot(seed, k) for k, seed, _ in pairs]
-    prep += [cnot(fold, k) for k, _, fold in pairs]
-    unprep = [g.adjoint() for g in reversed(prep)]
+    aux, c1, c2 = _prep(size, 0)
+    prep = c1 + c2
 
-    rotations: list[Gate] = []
-    for k in range(1, size):
-        g = _rotation(table, sd, k, k, dagger=False, doubled=True)
-        if g is not None:
-            rotations.append(g)
+    coefficients = sd.coefficients.tolist()
+    angle_of = _angle_of(coefficients, table, doubled=True)
+    rotations = [r1(angle_of[v], k) for k, v in enumerate(coefficients) if k and v]
 
-    body = [*prep, *rotations, *unprep, x(0)]
+    body = [*prep, *rotations, *prep[::-1], x(0)]
     layout = Layout(
         controls=tuple(1 << i for i in range(n)),
         target=0,
-        aux=tuple(k for k in range(3, size) if mu(k) != 1),
+        aux=aux,
     )
     roles = layout.roles(size)
     block = ConditionedBlock(0, Circuit(size, tuple(body)))

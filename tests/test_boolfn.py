@@ -223,6 +223,19 @@ def test_walsh_hadamard_rejects_bad_length():
         walsh_hadamard([1, 2, 3])
     with pytest.raises(ValueError):
         walsh_hadamard([])
+    with pytest.raises(ValueError):
+        walsh_hadamard([[1, 1], [1, -1]])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walsh_hadamard_matches_sylvester_product(n):
+    sylvester = np.ones((1, 1), dtype=np.int64)
+    for _ in range(n):
+        sylvester = np.kron(np.array([[1, 1], [1, -1]], dtype=np.int64), sylvester)
+    v = np.random.default_rng([7, n]).integers(-1000, 1000, size=1 << n)
+    before = v.copy()
+    assert np.array_equal(walsh_hadamard(v), sylvester @ v)
+    assert np.array_equal(v, before)  # the input is left alone
 
 
 @given(st.integers(0, 3).flatmap(
@@ -239,6 +252,17 @@ def test_walsh_hadamard_is_self_inverse_up_to_size(v):
 def test_walsh_hadamard_matches_dense_oracle(v):
     n = (len(v) - 1).bit_length()
     assert walsh_hadamard(v).tolist() == (hadamard_matrix(n) @ np.array(v)).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_angles_are_coefficients_over_two_to_n_plus_one(n):
+    bits = np.random.default_rng([11, n]).integers(0, 2, size=1 << n)
+    sd = spectrum(TruthTable(n, tuple(bits.tolist())))
+    table = angles(sd)
+    assert len(table.angles) == 1 << n
+    for j, s_j in enumerate(sd.coefficients.tolist()):
+        assert table.angles[j] == Fraction(s_j, 2 ** (n + 1))
+        assert type(table.angles[j]) is Fraction
 
 
 def test_spectrum_and_angles_examples():

@@ -128,6 +128,35 @@ def test_adjoint_is_structurally_involutive(c):
     assert adjoint(adjoint(c)) == c
 
 
+def test_adjoint_shares_self_adjoint_gates():
+    for g in (h(1), x(0), cnot(0, 1)):
+        assert g.adjoint() is g
+    for g in (s(0), sdg(0), r1(PI_4, 0), r1dg(PI_4, 0)):
+        assert g.adjoint() != g
+        assert g.adjoint().adjoint() == g
+
+
+def test_adjoint_is_involutive_on_synthesized_circuits():
+    """Constructions repeat one gate object at many positions."""
+    f = TruthTable.from_value(4, 0xB6E1)
+    for kind in ("general-lowwidth", "general-depth1", "and-lowwidth", "and-depth1"):
+        c = synthesize(f, ConstructionKind(kind)).circuit
+        assert adjoint(adjoint(c)) == c
+
+
+def test_r1_keeps_an_exact_angle_object():
+    angle = Fraction(3, 8)
+    assert r1(angle, 0).angle is angle
+    assert r1dg(angle, 0).angle is angle
+    assert r1(Fraction(1, 4), 0) == r1(Fraction(2, 8), 0)
+    assert r1(1, 0).angle == Fraction(1)
+
+
+def test_gate_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        Gate("h", (0,))
+
+
 @given(circuits())
 def test_compose_with_adjoint_acts_as_identity(c):
     round_trip = compose(c, adjoint(c))

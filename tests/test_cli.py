@@ -45,6 +45,24 @@ def test_synth_merge_s_flag(capsys):
     assert "p(1*pi/4) q[2];" in merged  # -(theta_0 - pi/2) = pi/4
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "2.5", "many"])
+def test_synth_nonpositive_max_columns_exits_2(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--func", "x1 & x2", "--construction", "and-depth1",
+              "--max-columns", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive" in captured.err
+
+
+def test_synth_max_columns_wraps(capsys):
+    code, out, _ = run(capsys, "synth", "--func", "x1 & x2",
+                       "--construction", "general-lowwidth", "--max-columns", "1")
+    assert code == 0
+    assert "…" in out
+
+
 def test_synth_malformed_expression_exits_2(capsys):
     code, _, err = run(capsys, "synth", "--func", "x1 & ~",
                        "--construction", "general-lowwidth")

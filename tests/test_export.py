@@ -32,6 +32,11 @@ def test_empty_circuit_renders_labeled_wires():
     assert lines[1].startswith("y_1:")
 
 
+def test_zero_qubit_circuit_renders_empty():
+    assert to_text_diagram(Circuit(0)) == ""
+    assert to_text_diagram(Circuit(0), max_columns=3) == ""
+
+
 def test_single_cnot_renders_control_and_target():
     out = to_text_diagram(Circuit(2, (cnot(0, 1),)))
     lines = out.splitlines()

@@ -385,3 +385,21 @@ def test_verify_covers_only_legal_subspace():
     result = synthesize(AND2, ConstructionKind.AND_LOW_WIDTH)
     mode = oracle_mode(result.kind)
     assert len(legal_basis_inputs(AND2, mode)) == 4  # y = 1 inputs excluded
+
+
+def test_repeated_synthesis_is_unaffected_by_shared_gates():
+    """Synthesizing f, then g, then f again at the same n gives the same
+    bytes: gates shared within a call and schedules cached across calls
+    leak nothing from one call into the next."""
+    from fcnot.export import to_qasm
+
+    rng = np.random.default_rng(31)
+    for n in (3, 5):
+        f, g = (TruthTable(n, tuple(rng.integers(0, 2, size=1 << n).tolist()))
+                for _ in range(2))
+        for kind in ConstructionKind:
+            first = to_qasm(synthesize(f, kind).circuit)
+            other = to_qasm(synthesize(g, kind).circuit)
+            again = to_qasm(synthesize(f, kind).circuit)
+            assert again == first
+            assert other != first
