@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import countOf
 
 import numpy as np
 
@@ -68,6 +69,11 @@ def trailing_bit(x: int) -> int:
 # Truth tables
 
 
+# Between the digits "0"/"1" and the byte values 0/1, for bytes.translate.
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """An n-variable Boolean function as a flat table of ``2**n`` bits.
@@ -89,7 +95,8 @@ class TruthTable:
                 f"table for n={self.n} needs {1 << self.n} entries, "
                 f"got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        # Each entry equal to 0 or to 1 is counted once, at C speed.
+        if countOf(self.bits, 0) + countOf(self.bits, 1) != len(self.bits):
             raise ValueError("table entries must be 0 or 1")
 
     @classmethod
@@ -97,11 +104,11 @@ class TruthTable:
         """Build a table from its packed integer (bit k of value = entry k)."""
         if value < 0 or value.bit_length() > 1 << n:
             raise ValueError(f"value does not fit a {1 << n}-entry table")
-        return cls(n, tuple(map(int, format(value, f"0{1 << n}b")[::-1])))
+        return cls(n, tuple(format(value, f"0{1 << n}b")[::-1].encode().translate(_FROM_DIGITS)))
 
     def value(self) -> int:
         """Packed integer form (bit k = entry k)."""
-        return int("".join("01"[b] for b in reversed(self.bits)), 2)
+        return int(bytes(self.bits[::-1]).translate(_TO_DIGITS), 2)
 
     def hex_form(self) -> str:
         """Canonical text form, accepted by :func:`parse_function`."""

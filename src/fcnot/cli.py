@@ -1,9 +1,9 @@
 """Command-line front-end: synthesis, verification, spectra, and sweeps.
 
 Exit codes: 0 success (verify: PASS), 1 verify FAIL, 2 malformed function
-text or bad usage, 3 unsupported/unverifiable size.  All randomized
-behavior is seed-determined; identical invocations produce identical
-bytes.
+text or bad usage, 3 unsupported size: a circuit too large to verify, or a
+text diagram that would exceed ``DIAGRAM_BYTES``.  All randomized behavior
+is seed-determined; identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ EXIT_PARSE = 2
 EXIT_SIZE = 3
 
 _VERDICT_EXIT = {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "UNVERIFIABLE": EXIT_SIZE}
+
+#: Largest text diagram ``synth`` draws, in bytes (128 MiB), checked against
+#: ``export.diagram_bytes_floor`` before drawing.  general-depth1 passes at
+#: n = 10 (a 117 MB diagram) and is refused from n = 11.
+DIAGRAM_BYTES = 1 << 27
 
 
 def _construction(name: str) -> synth.ConstructionKind:
@@ -57,8 +62,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         circuit = merge_s_gate(circuit)
     if args.out == "qasm":
         sys.stdout.write(export.to_qasm(circuit))
-    else:
-        print(export.to_text_diagram(circuit, max_columns=args.max_columns))
+        return EXIT_OK
+    size = export.diagram_bytes_floor(circuit)
+    if size > DIAGRAM_BYTES:
+        print(f"error: the text diagram would take at least {size} bytes, over the "
+              f"{DIAGRAM_BYTES}-byte bound; use --out qasm", file=sys.stderr)
+        return EXIT_SIZE
+    print(export.to_text_diagram(circuit, max_columns=args.max_columns))
     return EXIT_OK
 
 

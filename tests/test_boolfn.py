@@ -380,3 +380,17 @@ def test_truth_table_validation():
         TruthTable(1, (0, 2))
     with pytest.raises(ValueError):
         TruthTable(17, tuple([0] * (1 << 17)))
+
+
+@pytest.mark.parametrize("entry", [2, -1, 0.5, "1", None, (1,)])
+def test_truth_table_rejects_entries_other_than_zero_and_one(entry):
+    with pytest.raises(ValueError):
+        TruthTable(1, (0, entry))
+    with pytest.raises(ValueError):
+        TruthTable(1, (entry, 1))
+
+
+def test_truth_table_accepts_entries_equal_to_zero_or_one():
+    assert TruthTable(1, (0.0, 1.0)).bits == (0, 1)
+    for bits in ((False, True), (np.int64(1), np.uint8(0))):
+        assert TruthTable(1, bits).value() == int(bits[0]) + 2 * int(bits[1])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fcnot import sim
 from fcnot.cli import main
 
 
@@ -56,6 +57,19 @@ def test_synth_nonpositive_max_columns_exits_2(capsys, value):
     assert "positive" in captured.err
 
 
+def test_synth_oversized_diagram_exits_3(capsys):
+    # general-depth1 at n = 11 would draw a diagram of about 460 MB
+    code, out, err = run(capsys, "synth", "--func", "x1 & x11",
+                         "--construction", "general-depth1")
+    assert code == 3
+    assert out == ""
+    assert "--out qasm" in err
+    code, out, _ = run(capsys, "synth", "--func", "x1 & x11",
+                       "--construction", "general-depth1", "--out", "qasm")
+    assert code == 0
+    assert out.startswith("qubit q[4095];")
+
+
 def test_synth_max_columns_wraps(capsys):
     code, out, _ = run(capsys, "synth", "--func", "x1 & x2",
                        "--construction", "general-lowwidth", "--max-columns", "1")
@@ -88,9 +102,10 @@ def test_verify_pass_exit_0(capsys):
     assert record["verdict"] == "PASS"
 
 
-def test_verify_unverifiable_exit_3(capsys):
-    # above the verifier's work bound: 2**14 inputs x about 2**15 gates
-    code, out, _ = run(capsys, "verify", "--func", "0x1:13",
+def test_verify_unverifiable_exit_3(capsys, monkeypatch):
+    # every emitted circuit is under the verifier's work bound, so lower it
+    monkeypatch.setattr(sim, "WORK_BOUND", 1)
+    code, out, _ = run(capsys, "verify", "--func", "x1 & x2",
                        "--construction", "general-lowwidth")
     assert code == 3
     assert json.loads(out)["verdict"] == "UNVERIFIABLE"

@@ -4,8 +4,8 @@ import re
 from fractions import Fraction
 
 from fcnot.boolfn import TruthTable
-from fcnot.circuit import Circuit, cnot, h, r1, r1dg, x
-from fcnot.export import format_pi_multiple, to_qasm, to_text_diagram
+from fcnot.circuit import Circuit, ConditionedBlock, cnot, h, r1, r1dg, x
+from fcnot.export import diagram_bytes_floor, format_pi_multiple, to_qasm, to_text_diagram
 from fcnot.synth import ConstructionKind, synthesize
 
 AND2 = TruthTable.from_value(2, 0b1000)
@@ -80,6 +80,17 @@ def test_diagram_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # Assembly text
+
+
+def test_diagram_bytes_floor_is_a_lower_bound():
+    block = ConditionedBlock(3, Circuit(4, (cnot(0, 1), r1(Fraction(3, 8), 2), x(3))))
+    circuits = [Circuit(1, (h(0),)), Circuit(4, (h(3), block, cnot(0, 3), r1dg(Fraction(1, 4), 1)))]
+    for n in (1, 2, 3, 4):
+        f = TruthTable.from_value(n, (1 << (1 << n)) // 3)
+        circuits += [synthesize(f, kind).circuit for kind in ConstructionKind]
+    for c in circuits:
+        assert 0 < diagram_bytes_floor(c) <= len(to_text_diagram(c).encode())
+        assert diagram_bytes_floor(c) <= len(to_text_diagram(c, max_columns=2).encode())
 
 
 def test_qasm_single_hadamard():

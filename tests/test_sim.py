@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fcnot import sim
 from fcnot.boolfn import SpectralData, TruthTable, angles, spectrum
-from fcnot.circuit import Circuit, ConditionedBlock, Gate, cnot, h, r1, s, sdg, x
+from fcnot.circuit import Circuit, ConditionedBlock, Gate, cnot, h, r1, r1dg, s, sdg, x
 from fcnot.sim import (
     OracleMode,
     StateVector,
@@ -22,7 +23,13 @@ from fcnot.sim import (
     state_equal_up_to_phase,
     verify,
 )
-from fcnot.synth import ConstructionKind, _general_low_width_from_spectrum, synthesize
+from fcnot.synth import (
+    ConstructionKind,
+    Layout,
+    SynthesisResult,
+    _general_low_width_from_spectrum,
+    synthesize,
+)
 
 AND2 = TruthTable.from_value(2, 0b1000)
 
@@ -215,14 +222,40 @@ def test_verify_report_serializes_to_json():
     assert record["seed"] == 9
 
 
-def test_verify_reports_unverifiable_sizes():
-    # 2**14 legal inputs x about 2**15 gates x 2**2 Hadamards > WORK_BOUND
-    f = TruthTable.from_value(13, 1)
-    result = synthesize(f, ConstructionKind.GENERAL_LOW_WIDTH)
+def test_verify_reports_unverifiable_sizes(monkeypatch):
+    # a Hadamard on each of 40 auxiliary wires: 4 legal inputs could spread
+    # over 2**40 rows each, far over WORK_BOUND
+    f = TruthTable.from_value(1, 1)
+    layout = Layout(controls=(0,), target=1, aux=tuple(range(2, 42)))
+    circuit = Circuit(42, tuple(h(q) for q in layout.aux), layout.roles(42))
+    result = SynthesisResult(ConstructionKind.GENERAL_LOW_WIDTH, circuit, layout, 40)
+
+    def no_row_work(*args):
+        raise AssertionError("row work started")
+
+    monkeypatch.setattr(sim, "_simulate", no_row_work)
     report = verify(result, f)
     assert report.verdict == "UNVERIFIABLE"
     assert "unverifiable" in report.counterexample
-    assert (report.max_branches, report.peak_support) == (0, 0)
+    assert (report.max_branches, report.peak_support, report.row_updates) == (0, 0, 0)
+
+
+def test_verify_reports_unverifiable_angles():
+    f = TruthTable.from_value(1, 0)
+    result = synthesize(f, ConstructionKind.AND_LOW_WIDTH)
+    fine = Circuit(2, result.circuit.elements + (r1(Fraction(1, 1 << 70), 1),),
+                   result.circuit.roles)
+    report = verify(dataclasses.replace(result, circuit=fine), f)
+    assert report.verdict == "UNVERIFIABLE"
+    assert "angle" in report.counterexample
+
+
+def test_verify_counts_row_updates_within_the_bound():
+    for kind in ConstructionKind:
+        report = verify(synthesize(AND2, kind), AND2)
+        assert 0 < report.row_updates <= sim.WORK_BOUND
+    record = json.loads(report.to_json())
+    assert list(record)[-2:] == ["peak_support", "row_updates"]
 
 
 @pytest.mark.parametrize("kind, n", [
@@ -428,6 +461,121 @@ def test_verify_phase_arithmetic_on_sdg_and_z():
     assert verify(same, AND2).verdict == dense_verdict(same, AND2) == "PASS"
     wrong = with_opening(sdg(2))
     assert verify(wrong, AND2).verdict == dense_verdict(wrong, AND2) == "FAIL"
+
+
+# ---------------------------------------------------------------------------
+# The path-sum plan against the dense simulator, and its reach
+
+
+@st.composite
+def wired_circuits(draw):
+    """A circuit on up to 5 qubits with Hadamards and blocks anywhere, the
+    wires its input may set, and a basis input set only on those."""
+    m = draw(st.integers(1, 5))
+
+    def gates(count):
+        out = []
+        for _ in range(count):
+            kind = draw(st.integers(0, 6))
+            q = draw(st.integers(0, m - 1))
+            if kind == 0:
+                out.append(h(q))
+            elif kind == 1:
+                out.append(x(q))
+            elif kind == 2 and m > 1:
+                other = draw(st.integers(0, m - 2))
+                out.append(cnot(q, other + (other >= q)))
+            elif kind == 3:
+                out.append(s(q))
+            elif kind == 4:
+                out.append(sdg(q))
+            else:
+                angle = Fraction(draw(st.integers(-16, 16)), 16)
+                out.append((r1 if kind == 5 else r1dg)(angle, q))
+        return out
+
+    elements = gates(draw(st.integers(0, 14)))
+    # each qubit is measured at most once, so outcome records name branches
+    for q in draw(st.lists(st.integers(0, m - 1), max_size=2, unique=True)):
+        elements.append(ConditionedBlock(q, Circuit(m, tuple(gates(draw(st.integers(0, 6)))))))
+        elements += gates(draw(st.integers(0, 6)))
+    start = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    index = sum(draw(st.integers(0, 1)) << q for q in start)
+    return Circuit(m, tuple(elements)), start, index
+
+
+def path_sum_branches(c: Circuit, start, index: int) -> dict:
+    """Amplitudes of each measurement branch of one basis input, from the
+    plan's rows."""
+    k, exponents = sim._exponents(c)
+    plan = sim._Plan(c, start, exponents, k, 1)
+    words = (len(plan.slot) + 63) >> 6
+    idx = np.zeros((1, words), dtype=np.uint64)
+    for q in start:
+        if index >> q & 1:
+            idx[0, plan.slot[q] >> 6] |= np.uint64(1 << (plan.slot[q] & 63))
+    zero = np.zeros(1, dtype=np.int64)
+    rows = sim._Terms(zero, zero.copy(), idx, zero.copy(), np.zeros(1, dtype=np.uint64),
+                      np.ones(1, dtype=np.int64))
+    t, outcomes, _, work = sim._simulate(plan, rows, k, 1)
+    assert work <= plan.work
+    sim._canonical(t, k)
+    out: dict = {}
+    for r in range(t.e.size):
+        full = sum(int(t.bit(slot)[r]) << q for q, slot in plan.slot.items())
+        key = tuple(sorted(outcomes[t.branch[r]].items()))
+        out.setdefault(key, np.zeros(1 << c.qubit_count, dtype=complex))[full] += (
+            t.amplitude([r], k))
+    return out
+
+
+@given(wired_circuits())
+@settings(max_examples=300, deadline=None)
+def test_plan_agrees_with_dense_simulation(case):
+    """Both phase evaluations, on circuits with dirty and constant wires,
+    wires going live mid-run and Hadamards inside blocks."""
+    c, start, index = case
+    dense = {tuple(sorted(b.outcomes.items())): math.sqrt(b.probability) * b.state.amplitudes
+             for b in apply(c, StateVector.basis(c.qubit_count, index)).branches}
+    cost = sim._Run.cost
+    for transform in (False, True):
+        sim._Run.cost = lambda run, rows: (cost(run, rows)[0], transform and bool(run.masks))
+        try:
+            mine = path_sum_branches(c, start, index)
+        finally:
+            sim._Run.cost = cost
+        for key in set(dense) | set(mine):
+            zero = np.zeros(1 << c.qubit_count)
+            assert np.allclose(dense.get(key, zero), mine.get(key, zero), atol=1e-9), key
+
+
+def test_verify_with_more_than_64_live_wires():
+    # X on 67 idle auxiliaries around the general low-width circuit: they
+    # stay live between the Hadamards, so rows span two words
+    result = synthesize(AND2, ConstructionKind.GENERAL_LOW_WIDTH)
+    aux = tuple(range(3, 70))
+    layout = Layout(controls=(0, 1), target=2, aux=aux)
+    flips = tuple(x(q) for q in aux)
+    elements = result.circuit.elements
+    wide = Circuit(70, flips + elements[:1] + flips + elements[1:-1] + flips + elements[-1:]
+                   + flips, layout.roles(70))
+    wide_result = SynthesisResult(result.kind, wide, layout, len(aux))
+    assert verify(wide_result, AND2).verdict == "PASS"
+    for wide_mutant, mutant in zip(negated_rotations(wide_result), negated_rotations(result)):
+        assert verify(wide_mutant, AND2).verdict == verify(mutant, AND2).verdict
+
+
+@pytest.mark.parametrize("kind", list(ConstructionKind))
+def test_verify_every_construction_at_n16(kind):
+    rng = np.random.default_rng(16)
+    f = TruthTable(16, tuple(rng.integers(0, 2, size=1 << 16).tolist()))
+    result = synthesize(f, kind)
+    report = verify(result, f)
+    assert report.verdict == "PASS", report.counterexample
+    assert report.row_updates <= sim.WORK_BOUND
+    if kind in (ConstructionKind.GENERAL_LOW_WIDTH, ConstructionKind.AND_DEPTH1):
+        mutant = next(negated_rotations(result))
+        assert verify(mutant, f).verdict == "FAIL"
 
 
 # ---------------------------------------------------------------------------
