@@ -19,7 +19,7 @@ phases evaluated parity by parity or by one integer Walsh-Hadamard
 transform, whichever the run's own counts make cheaper.  Rows hold only
 the wires that can be nonzero between steps, at most n + 1 for emitted
 circuits, so every construction verifies up to n = 16 (general-depth1 at
-n = 16, 131071 qubits, in about 1.4 s).  There is no qubit cap; circuits
+n = 16, 131071 qubits, in about 0.7 s).  There is no qubit cap; circuits
 whose plan work exceeds ``WORK_BOUND`` row updates are reported
 UNVERIFIABLE before any row work starts.  No random state is drawn and no
 tolerance applies: ``random_states`` and ``tolerance`` are accepted for
@@ -42,8 +42,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
-from operator import ne
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -266,13 +265,15 @@ def oracle_unitary(f: TruthTable, mode: OracleMode) -> Callable[[int], int]:
 
 #: Largest verification work verify() takes on, in row updates: a Hadamard
 #: writes two rows per row it reads, and a run of the plan costs what its
-#: cheaper phase evaluation costs (see :meth:`_Run.cost`).  The plan bounds
-#: the work before any row work starts, taking each step to see the most
-#: rows it can, legal inputs x 2**(Hadamards before it); circuits over the
-#: bound are reported UNVERIFIABLE.  Every circuit the compiler emits stays
-#: below it: the most, 3.3 million, is general-lowwidth or general-depth1
-#: at n = 16.  At the bound, a circuit of Hadamards on 20 idle wires holds
-#: about 700 MiB of rows.
+#: cheaper phase evaluation costs (see :meth:`_Run.cost`).  A row is one
+#: uint64 word per 64 slots, and every step's work on a row grows with its
+#: width, so a row update is counted once per word.  The plan bounds the
+#: work before any row work starts, taking each step to see the most rows
+#: it can, legal inputs x 2**(Hadamards before it); circuits over the bound
+#: are reported UNVERIFIABLE.  Every circuit the compiler emits has one-word
+#: rows and stays below it: the most, 3.3 million, is general-lowwidth or
+#: general-depth1 at n = 16.  At the bound, a circuit of Hadamards on 20
+#: idle wires holds about 700 MiB of rows; wider rows leave fewer of them.
 WORK_BOUND = 1 << 23
 
 
@@ -410,53 +411,50 @@ def _merge(t: _Terms, k: int) -> _Terms:
     return t
 
 
+def _h_rows(t: _Terms, s: int) -> _Terms:
+    """H on slot s of every row, unmerged: row r becomes rows 2r (slot s
+    clear) and 2r + 1 (slot s set, sign flipped where s was set)."""
+    word, bit = s >> 6, np.uint64(1 << (s & 63))
+    idx = t.idx.repeat(2, axis=0)
+    idx[0::2, word] &= ~bit
+    idx[1::2, word] |= bit
+    coef = t.coef.repeat(2)
+    coef[1::2] *= 1 - 2 * t.bit(s).astype(np.int64)
+    return _Terms(t.branch.repeat(2), t.inp.repeat(2), idx, t.h.repeat(2) + 1,
+                  t.e.repeat(2), coef)
+
+
 def _hadamard(t: _Terms, s: int, k: int) -> _Terms:
     """Apply H to slot s of every row; returns the merged new rows."""
-    sign = 1 - 2 * t.bit(s).astype(np.int64)
-    low = t.idx.copy()
-    low[:, s >> 6] &= ~np.uint64(1 << (s & 63))
-    high = low.copy()
-    high[:, s >> 6] |= 1 << (s & 63)
     if not t.branch.any() and (t.inp[1:] > t.inp[:-1]).all():
         # One row per input, in input order, as before the first Hadamard:
         # no two new rows share an index, and with each row's halves side
         # by side they are already in merged order.
-        new = _Terms(t.branch.repeat(2), t.inp.repeat(2),
-                     np.stack((low, high), axis=1).reshape(-1, low.shape[1]),
-                     t.h.repeat(2) + 1, t.e.repeat(2),
-                     np.stack((t.coef, t.coef * sign), axis=1).ravel())
+        new = _h_rows(t, s)
         _canonical(new, k)
         return new
-    return _merge(_Terms(
-        np.concatenate((t.branch, t.branch)), np.concatenate((t.inp, t.inp)),
-        np.concatenate((low, high)), np.concatenate((t.h, t.h)) + 1,
-        np.concatenate((t.e, t.e)), np.concatenate((t.coef, t.coef * sign)),
-    ), k)
+    # no name holds the unmerged rows, so _merge can free them as it sorts
+    return _merge(_h_rows(t, s), k)
 
 
 def _words(masks: list[int], words: int) -> np.ndarray:
     """Slot masks as rows of uint64 words, laid out like ``_Terms.idx``."""
-    if words == 1:
-        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
-    return np.array([[(m >> (64 * j)) & ((1 << 64) - 1) for j in range(words)]
-                     for m in masks], dtype=np.uint64).reshape(-1, words)
+    data = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
 
 def _parity(idx: np.ndarray, masks: list[int]) -> np.ndarray:
     """The uint64 parities ``popcount(idx[r] & masks[j]) % 2``, shaped
-    (rows, masks)."""
-    words = idx.shape[1]
-    if words == 1:
-        return np.bitwise_count(idx & np.array(masks, dtype=np.uint64)) & _ONE
-    return np.bitwise_count(idx[:, None, :] & _words(masks, words)).sum(axis=2) & _ONE
+    (rows, masks).  The words are folded by XOR, which keeps the parity,
+    so no (rows, masks, words) array is made."""
+    m = _words(masks, idx.shape[1])
+    folded = reduce(np.bitwise_xor, (idx[:, j, None] & m[:, j] for j in range(idx.shape[1])))
+    return np.bitwise_count(folded) & _ONE
 
 
 def _gather(a: np.ndarray, slots: list[int]) -> np.ndarray:
     """Pack the bits of each row of words ``a`` at the ascending ``slots``
     into one integer per row."""
-    lo, hi = slots[0], slots[-1]
-    if hi - lo == len(slots) - 1 and lo >> 6 == hi >> 6:
-        return (a[:, lo >> 6] >> (lo & 63)) & ((1 << len(slots)) - 1)
     out = np.zeros(len(a), dtype=np.uint64)
     for j, s in enumerate(slots):
         out |= ((a[:, s >> 6] >> (s & 63)) & 1) << j
@@ -553,70 +551,93 @@ class _Plan:
     The pass tracks which wires can be nonzero (``live``): the controls and
     the target at the start, each wire a Hadamard touches, and each wire a
     run leaves on a nonzero parity.  It hands them slots as they go live,
-    in ``start`` order first.  Through a run it keeps one affine parity
-    mask per wire over the live slots at the run's start, with bit 0 for
-    X's constant: a CNOT XORs the control's mask into the target's, and a
-    phase gate adds its exponent to its wire's current mask in a table.
-    ``work`` is the row updates of the plan with every step seeing the most
-    rows it can, ``inputs << (Hadamards before it)``.
+    in ``start`` order first.  It keeps one affine parity mask per wire
+    over the live slots at the current run's start, with bit 0 for X's
+    constant; between runs a live wire's mask is its own slot and any
+    other wire's is 0.  A CNOT XORs the control's mask into the target's,
+    an X flips bit 0, and a phase gate adds its exponent to its wire's
+    current mask in a table; a Hadamard or a block ends the run, and only
+    the wires a CNOT or X changed are looked at again.  ``work`` is the row
+    updates of the plan with every step seeing the most rows it can,
+    ``inputs << (Hadamards before it)``.  Once the plan is ``over`` the
+    bound it is refused, so the pass stops.
     """
 
     def __init__(self, circuit: Circuit, start: list[int],
                  exponents: dict[int, int], k: int, inputs: int) -> None:
         self.slot = {q: s for s, q in enumerate(start)}
         self.live = set(start)
-        self.width = circuit.qubit_count
+        self.masks = [0] * circuit.qubit_count
+        for q, s in self.slot.items():
+            self.masks[q] = 2 << s
         self.exponents = exponents
         self.period = 2 << k
         self.rows = inputs
         self.work = 0
         self.steps = self._steps(circuit.elements)
 
+    @property
+    def words(self) -> int:
+        """The uint64 words of a row, one per 64 slots."""
+        return (len(self.slot) + 63) >> 6
+
+    @property
+    def over(self) -> bool:
+        """Whether the work, counted once per word of a row, passes
+        ``WORK_BOUND``."""
+        return self.work * self.words > WORK_BOUND
+
     def _slot_of(self, q: int) -> int:
         return self.slot.setdefault(q, len(self.slot))
 
+    def _go_live(self, q: int) -> None:
+        self.live.add(q)
+        self.masks[q] = 2 << self._slot_of(q)
+
     def _steps(self, elements) -> list:
         steps: list = []
-        begin = 0
-        for i, el in enumerate(elements):
-            if type(el) is Gate and el.kind is not _H:
-                continue
-            self._add_run(elements[begin:i], steps)
-            begin = i + 1
+        masks, exponents, live = self.masks, self.exponents, self.live
+        acc: dict[int, int] = {}
+        changed: set[int] = set()
+        for el in elements:
             if type(el) is Gate:
-                q = el.qubits[0]
-                self.live.add(q)
+                kind = el.kind
+                if kind is _CNOT:
+                    control, target = el.qubits
+                    masks[target] ^= masks[control]
+                    changed.add(target)
+                    continue
+                if kind is _X:
+                    q = el.qubits[0]
+                    masks[q] ^= 1
+                    changed.add(q)
+                    continue
+                if kind is not _H:
+                    m = masks[el.qubits[0]]
+                    acc[m] = acc.get(m, 0) + exponents[id(el)]
+                    continue
+            self._end_run(acc, changed, steps)
+            if self.over:
+                return steps
+            acc, changed = {}, set()
+            if type(el) is Gate:
+                self._go_live(el.qubits[0])
                 self.work += 2 * self.rows
                 self.rows *= 2
-                steps.append(self._slot_of(q))
+                steps.append(self.slot[el.qubits[0]])
             else:
-                before = set(self.live)
+                before = set(live)
                 slot = self._slot_of(el.measured_qubit)
                 steps.append(_Block(el.measured_qubit, slot, self._steps(el.body.elements)))
-                self.live |= before
-        self._add_run(elements[begin:], steps)
+                if self.over:
+                    return steps
+                # the outcome-0 rows skip the body, so its dead wires live on
+                for q in before - live:
+                    self._go_live(q)
+        self._end_run(acc, changed, steps)
         return steps
 
-    def _add_run(self, gates, steps: list) -> None:
-        if not gates:
-            return
-        exponents, live = self.exponents, self.live
-        masks = [0] * self.width
-        for q in live:
-            masks[q] = 2 << self.slot[q]
-        before = masks.copy()
-        acc: dict[int, int] = {}
-        for g in gates:
-            kind = g.kind
-            if kind is _CNOT:
-                control, target = g.qubits
-                masks[target] ^= masks[control]
-            elif kind is _X:
-                masks[g.qubits[0]] ^= 1
-            else:
-                m = masks[g.qubits[0]]
-                acc[m] = acc.get(m, 0) + exponents[id(g)]
-
+    def _end_run(self, acc: dict[int, int], changed: set[int], steps: list) -> None:
         phases: dict[int, int] = {}
         constant = 0
         for m, a in acc.items():
@@ -627,17 +648,23 @@ class _Plan:
                 phases[m >> 1] = phases.get(m >> 1, 0) + a
         period = self.period
         phases = {m: a % period for m, a in phases.items() if a % period}
+        masks, live, slot = self.masks, self.live, self.slot
         rewrites = {}
-        for q in compress(range(self.width), map(ne, masks, before)):
-            if masks[q]:
-                live.add(q)
-            else:
-                live.discard(q)
-            rewrites[self._slot_of(q)] = masks[q]
+        for q in sorted(changed):
+            m = masks[q]
+            if m != (2 << slot[q] if q in live else 0):
+                rewrites[self._slot_of(q)] = m
         run = _Run(phases, constant % period, rewrites)
         if run.masks or run.constant or run.slots:
             self.work += run.cost(self.rows)[0]
             steps.append(run)
+        if self.over:
+            return
+        for q in changed:
+            if masks[q]:
+                self._go_live(q)
+            else:
+                live.discard(q)
 
 
 def _simulate(plan: _Plan, t: _Terms, k: int, inputs: int):
@@ -673,14 +700,13 @@ def _simulate(plan: _Plan, t: _Terms, k: int, inputs: int):
     return t, outcomes, peak, work
 
 
-def _embed(controls: list[int], target: int, xs: np.ndarray, ys: np.ndarray,
-           words: int) -> np.ndarray:
-    """Rows of the (x, y) pairs, x_i on slot ``controls[i - 1]`` and y on
-    slot ``target``, as words."""
-    idx = np.zeros((xs.size, words), dtype=np.uint64)
-    for i, s in enumerate(controls):
-        idx[:, s >> 6] |= ((xs >> i) & 1).astype(np.uint64) << (s & 63)
-    idx[:, target >> 6] |= ys.astype(np.uint64) << (target & 63)
+def _embed(slots: list[int], values: np.ndarray, words: int) -> np.ndarray:
+    """Rows of the basis indices ``values`` of the start wires, bit i on
+    slot ``slots[i]``, as words.  The start slots are the first, so they all
+    lie in word 0."""
+    bits = ((values[:, None] >> np.arange(len(slots))) & 1).astype(np.uint64)
+    idx = np.zeros((values.size, words), dtype=np.uint64)
+    idx[:, 0] = bits @ np.array([1 << s for s in slots], dtype=np.uint64)
     return idx
 
 
@@ -757,31 +783,33 @@ def verify(
     n = f.n
     pairs = legal_basis_inputs(f, mode)
     inputs = len(pairs)
-    # Slots ordered so that sorting rows by slot words ranks them as sorting
-    # by basis-index words would (word 0's top bit first, the last word's
-    # bottom bit last): rows keep the order, and reports every float, that
-    # full basis-index rows would give.
+    # Start slots ordered so that rows differing only there sort as
+    # basis-index words would (word 0's top bit first, the last word's
+    # bottom bit last).  Other slots are numbered as their wires go live, so
+    # rows that also differ on a dirty auxiliary (a FAIL) can sort
+    # otherwise, which may move the last bit of the FAIL's infidelity.
     start = sorted((*layout.controls, layout.target), key=lambda q: (-(q >> 6), q & 63))
     plan = _Plan(circuit, start, exponents, k, inputs)
-    if plan.work > WORK_BOUND:
+    slot = plan.slot
+    words = plan.words
+    if plan.over:
         return report(
             "UNVERIFIABLE",
-            counter=f"unverifiable at this size ({plan.work} row updates > bound {WORK_BOUND})",
+            counter=f"unverifiable at this size (at least {plan.work * words} row"
+                    f" updates > bound {WORK_BOUND})",
         )
 
     image = oracle_unitary(f, mode)
     xs, ys = np.array(pairs, dtype=np.int64).T
     images = np.array([image(x + (y << n)) for x, y in pairs], dtype=np.int64)
-    slot = plan.slot
-    words = (len(slot) + 63) >> 6
-    controls = [slot[q] for q in layout.controls]
-    target = slot[layout.target]
-    expected = _embed(controls, target, images & ((1 << n) - 1), images >> n, words)
+    slots = [slot[q] for q in (*layout.controls, layout.target)]
+    expected = _embed(slots, images, words)
     zeros = np.zeros(inputs, dtype=np.int64)
-    rows = _Terms(zeros, np.arange(inputs), _embed(controls, target, xs, ys, words),
+    rows = _Terms(zeros, np.arange(inputs), _embed(slots, xs + (ys << n), words),
                   zeros.copy(), np.zeros(inputs, dtype=np.uint64),
                   np.ones(inputs, dtype=np.int64))
     t, outcomes, peak, work = _simulate(plan, rows, k, inputs)
+    work *= words
     _canonical(t, k)
 
     # An auxiliary wire with no slot is |0> at the end.

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -563,6 +564,39 @@ def test_verify_with_more_than_64_live_wires():
     assert verify(wide_result, AND2).verdict == "PASS"
     for wide_mutant, mutant in zip(negated_rotations(wide_result), negated_rotations(result)):
         assert verify(wide_mutant, AND2).verdict == verify(mutant, AND2).verdict
+
+
+@pytest.mark.parametrize("wires, hadamards, verdict", [
+    (3000, 0, "PASS"),             # 48-word rows, 1.1 million row updates
+    (3000, 2, "UNVERIFIABLE"),     # the same rows 4x as many: 36.7 million
+    (30000, 0, "UNVERIFIABLE"),    # 470-word rows: over after the first run
+])
+def test_verify_counts_each_word_of_wide_rows(monkeypatch, wires, hadamards, verdict):
+    # X on idle auxiliaries before and after the circuit keeps them live in
+    # between, and Hadamards on some of them multiply the rows
+    f = TruthTable.from_value(1, 2)
+    result = synthesize(f, ConstructionKind.GENERAL_LOW_WIDTH)
+    base = result.circuit.qubit_count
+    idle = tuple(range(base, base + wires))
+    layout = Layout(result.layout.controls, result.layout.target, result.layout.aux + idle)
+    flips = tuple(x(q) for q in idle)
+    spread = tuple(h(q) for q in idle[:hadamards])
+    wide = Circuit(base + wires, flips + spread + result.circuit.elements + spread + flips,
+                   layout.roles(base + wires))
+    if verdict == "UNVERIFIABLE":
+        def no_row_work(*args):
+            raise AssertionError("row work started")
+
+        monkeypatch.setattr(sim, "_simulate", no_row_work)
+    tracemalloc.start()
+    try:
+        report = verify(SynthesisResult(result.kind, wide, layout, len(layout.aux)), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == verdict, report.counterexample
+    assert report.row_updates <= sim.WORK_BOUND
+    assert peak < 64 << 20
 
 
 @pytest.mark.parametrize("kind", list(ConstructionKind))
