@@ -48,7 +48,6 @@ from .export import to_qasm, to_text_diagram
 from .sim import (
     Branch,
     BranchedState,
-    OracleMode,
     StateVector,
     VerificationReport,
     apply,
@@ -63,12 +62,6 @@ from .synth import (
     Layout,
     SynthesisResult,
     TargetContract,
-    synth_and_depth1,
-    synth_and_low_width,
-    synth_anddg_depth1,
-    synth_anddg_low_width,
-    synth_general_depth1,
-    synth_general_low_width,
     synthesize,
 )
 

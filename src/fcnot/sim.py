@@ -40,7 +40,6 @@ import cmath
 import json
 import math
 from dataclasses import asdict, dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from typing import Callable
@@ -49,7 +48,7 @@ import numpy as np
 
 from .boolfn import TruthTable, lifted_spectrum, pm_one_vector, spectrum, walsh_hadamard
 from .circuit import Circuit, ConditionedBlock, Gate, GateKind
-from .synth import ConstructionKind, SynthesisResult, TargetContract
+from .synth import SynthesisResult, TargetContract
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -216,38 +215,21 @@ def state_equal_up_to_phase(a: StateVector, b: StateVector, tol: float) -> bool:
 # Reference oracle
 
 
-class OracleMode(Enum):
-    GENERAL = "general"
-    TARGET_ZERO = "target_zero"
-    TARGET_FX = "target_fx"
-
-
-_MODE_OF_CONTRACT = {
-    TargetContract.ARBITRARY: OracleMode.GENERAL,
-    TargetContract.ZERO: OracleMode.TARGET_ZERO,
-    TargetContract.F_OF_X: OracleMode.TARGET_FX,
-}
-
-
-def oracle_mode(kind: ConstructionKind) -> OracleMode:
-    return _MODE_OF_CONTRACT[kind.target_contract]
-
-
-def legal_basis_inputs(f: TruthTable, mode: OracleMode) -> list[tuple[int, int]]:
-    """The (x, y) basis pairs the mode's contract covers."""
+def legal_basis_inputs(f: TruthTable, contract: TargetContract) -> list[tuple[int, int]]:
+    """The (x, y) basis pairs the target contract covers."""
     xs = range(1 << f.n)
-    if mode is OracleMode.GENERAL:
+    if contract is TargetContract.ARBITRARY:
         return [(x, y) for y in (0, 1) for x in xs]
-    if mode is OracleMode.TARGET_ZERO:
+    if contract is TargetContract.ZERO:
         return [(x, 0) for x in xs]
     return [(x, f.bits[x]) for x in xs]
 
 
-def oracle_unitary(f: TruthTable, mode: OracleMode) -> Callable[[int], int]:
+def oracle_unitary(f: TruthTable, contract: TargetContract) -> Callable[[int], int]:
     """Ground-truth permutation on basis indices ``x + y * 2**n``:
-    ``|x>|y> -> |x>|y xor f(x)>``, restricted to the mode's legal inputs."""
+    ``|x>|y> -> |x>|y xor f(x)>``, restricted to the contract's legal inputs."""
     n = f.n
-    legal = {x + (y << n) for x, y in legal_basis_inputs(f, mode)}
+    legal = {x + (y << n) for x, y in legal_basis_inputs(f, contract)}
 
     def image(index: int) -> int:
         if index not in legal:
@@ -347,10 +329,14 @@ class _Terms:
     def bit(self, s: int) -> np.ndarray:
         return (self.idx[:, s >> 6] >> (s & 63)) & 1
 
+    def terms(self, rows, k: int) -> np.ndarray:
+        """The complex value of each term at ``rows``."""
+        phases = np.exp(1j * math.pi * self.e[rows] / (1 << k))
+        return self.coef[rows] * phases / math.sqrt(2.0) ** self.h[rows]
+
     def amplitude(self, rows, k: int) -> complex:
         """The complex sum of the terms at ``rows``."""
-        phases = np.exp(1j * math.pi * self.e[rows] / (1 << k))
-        return complex(np.sum(self.coef[rows] * phases / math.sqrt(2.0) ** self.h[rows]))
+        return complex(np.sum(self.terms(rows, k)))
 
 
 _H, _X, _CNOT = GateKind.H, GateKind.X, GateKind.CNOT
@@ -754,7 +740,7 @@ def verify(
     ``random_states`` and ``tolerance`` are accepted for compatibility and
     ignored; ``seed`` is echoed in the report.
     """
-    mode = oracle_mode(result.kind)
+    contract = result.kind.target_contract
     circuit = result.circuit
     layout = result.layout
 
@@ -781,7 +767,7 @@ def verify(
         return report("UNVERIFIABLE",
                       counter=f"unverifiable rotation angle (finer than pi/2**{_MAX_K})")
     n = f.n
-    pairs = legal_basis_inputs(f, mode)
+    pairs = legal_basis_inputs(f, contract)
     inputs = len(pairs)
     # Start slots ordered so that rows differing only there sort as
     # basis-index words would (word 0's top bit first, the last word's
@@ -799,7 +785,7 @@ def verify(
                     f" updates > bound {WORK_BOUND})",
         )
 
-    image = oracle_unitary(f, mode)
+    image = oracle_unitary(f, contract)
     xs, ys = np.array(pairs, dtype=np.int64).T
     images = np.array([image(x + (y << n)) for x, y in pairs], dtype=np.int64)
     slots = [slot[q] for q in (*layout.controls, layout.target)]
@@ -828,12 +814,18 @@ def verify(
         r = off[np.lexsort((t.branch[off], t.inp[off]))[0]]
         b, i = int(t.branch[r]), int(t.inp[r])
         mine = np.flatnonzero((t.branch == b) & (t.inp == i))
-        by_index: dict[bytes, complex] = {}
-        for row in mine:
-            key = t.idx[row].tobytes()
-            by_index[key] = by_index.get(key, 0j) + t.amplitude([row], k)
-        norm = math.sqrt(sum(abs(a) ** 2 for a in by_index.values()))
-        infidelity = 1.0 - abs(by_index.get(expected[i].tobytes(), 0j)) / norm
+        # its amplitude on each basis index it reaches, the terms summed in
+        # row order, and the norm over the indices in order of first reach
+        keys, first, index = np.unique(t.idx[mine], axis=0, return_index=True,
+                                       return_inverse=True)
+        terms = t.terms(mine, k)
+        re, im = (np.bincount(index, part) for part in (terms.real, terms.imag))
+        # np.hypot is bit for bit abs(complex); float ** 2 is libm pow, which
+        # can differ from numpy's x * x in the last bit, so it squares here
+        size = np.hypot(re, im).tolist()
+        norm = math.sqrt(sum(size[g] ** 2 for g in np.argsort(first).tolist()))
+        hit = np.flatnonzero((keys == expected[i]).all(axis=1)).tolist()
+        infidelity = 1.0 - (size[hit[0]] if hit else 0.0) / norm
         what = label(i)
     else:
         found = _unequal_amplitude(t, inputs)
@@ -875,7 +867,7 @@ def diagonal_decomposition_check(f: TruthTable) -> bool:
     ghat = np.concatenate(
         [np.ones(1 << n), pm_one_vector(f).astype(float)]
     ).astype(complex)
-    image = oracle_unitary(f, OracleMode.GENERAL)
+    image = oracle_unitary(f, TargetContract.ARBITRARY)
 
     for k in range(dim):
         amps = np.zeros(dim, dtype=complex)

@@ -1,23 +1,34 @@
 """Circuit constructions for Boolean-function-controlled NOT gates.
 
 Given an n-variable function f, each construction emits a Clifford+R1
-circuit realizing ``|x>|y>|0^l> -> |x>|y xor f(x)>|0^l>`` for one of three
-target contracts (arbitrary ``|y>``, ``|y> = |0>``, ``|y> = |f(x)>``) and
-one of two cost profiles:
+circuit realizing ``|x>|y>|0^l> -> |x>|y xor f(x)>|0^l>``.  All six are
+one recipe (:func:`_synthesize`): the Walsh-Hadamard spectrum of f gives
+phase terms on parities of the inputs (the diagonal-operator view of
+Welch et al., WGMA14), a rotation by ``theta_j = s_j * pi / 2**(n+1)`` on
+the wire holding the XOR of the variables selected by the bits of j.
+Zero coefficients would rotate by zero and emit no gate at all.
 
-* low-width: no auxiliary qubits, rotations serialized on few wires;
-* depth-1: one auxiliary qubit per linear combination of inputs, so all
+The target contract decides which terms exist and the Clifford frame
+around them:
+
+* arbitrary ``|y>``: every input parity k >= 1 by r1, and every parity
+  XOR the target by r1dg, framed by ``H,S ... H`` on the target;
+* ``|y> = |0>``: only the parities XOR the target, framed by
+  ``H,S ... H,S``.  The final S repairs the residual phase ``(-i)**f(x)``
+  the dropped input terms would have supplied, so the map is exact on
+  superpositions;
+* ``|y> = |f(x)>`` (uncompute to |0>): a Hadamard rotates the target into
+  the X basis and it is measured.  On outcome 0 the state is already
+  ``|x>|0>``; on outcome 1 the amplitudes carry a ``(-1)**f(x)`` phase,
+  which the input terms at doubled angles repair, conditioned on the
+  outcome, before an X resets the target.
+
+The cost profile is the scheduler that places the terms on wires:
+
+* low-width: no auxiliary qubits; the terms are walked by Gray-code
+  ladders, rotations serialized on few wires;
+* depth-1: one wire per parity label, prepared by CNOT schedules, so all
   rotations land on distinct qubits and execute in a single stage.
-
-Rotation angles come from the Walsh-Hadamard spectrum of f: a rotation by
-``theta_j = s_j * pi / 2**(n+1)`` is scheduled onto the wire holding the
-XOR of the variables selected by the bits of j (plus the target, for the
-adjoint rotations).  Zero coefficients would rotate by zero and emit no
-gate at all.
-
-The two uncompute constructions (``|f(x)>`` contract) measure the target
-after a basis change and repair the surviving phases with doubled-angle
-rotations, conditioned on the measurement outcome.
 """
 
 from __future__ import annotations
@@ -41,7 +52,6 @@ from .boolfn import (
 )
 from .circuit import (
     Circuit,
-    CircuitElement,
     ConditionedBlock,
     Gate,
     cnot,
@@ -56,45 +66,33 @@ from .circuit import (
 
 
 class TargetContract(Enum):
+    """What a construction may assume about the target ``|y>``."""
+
     ARBITRARY = "arbitrary"
     ZERO = "zero"
     F_OF_X = "f_of_x"
 
 
 class ConstructionKind(Enum):
-    """The six constructions, named ``<contract>-<profile>``."""
+    """The six constructions, named ``<contract>-<profile>``: ``general``,
+    ``and`` and ``anddg`` are the arbitrary, ``|0>`` and ``|f(x)>``
+    contracts, ``lowwidth`` and ``depth1`` the profiles.  Each member
+    carries its ``target_contract`` and whether its profile is ``depth1``
+    (else low-width)."""
 
-    GENERAL_LOW_WIDTH = "general-lowwidth"
-    GENERAL_DEPTH1 = "general-depth1"
-    AND_LOW_WIDTH = "and-lowwidth"
-    AND_DEPTH1 = "and-depth1"
-    ANDDG_LOW_WIDTH = "anddg-lowwidth"
-    ANDDG_DEPTH1 = "anddg-depth1"
+    GENERAL_LOW_WIDTH = ("general-lowwidth", TargetContract.ARBITRARY, False)
+    GENERAL_DEPTH1 = ("general-depth1", TargetContract.ARBITRARY, True)
+    AND_LOW_WIDTH = ("and-lowwidth", TargetContract.ZERO, False)
+    AND_DEPTH1 = ("and-depth1", TargetContract.ZERO, True)
+    ANDDG_LOW_WIDTH = ("anddg-lowwidth", TargetContract.F_OF_X, False)
+    ANDDG_DEPTH1 = ("anddg-depth1", TargetContract.F_OF_X, True)
 
-    @property
-    def target_contract(self) -> TargetContract:
-        return {
-            ConstructionKind.GENERAL_LOW_WIDTH: TargetContract.ARBITRARY,
-            ConstructionKind.GENERAL_DEPTH1: TargetContract.ARBITRARY,
-            ConstructionKind.AND_LOW_WIDTH: TargetContract.ZERO,
-            ConstructionKind.AND_DEPTH1: TargetContract.ZERO,
-            ConstructionKind.ANDDG_LOW_WIDTH: TargetContract.F_OF_X,
-            ConstructionKind.ANDDG_DEPTH1: TargetContract.F_OF_X,
-        }[self]
-
-    @property
-    def is_uncompute(self) -> bool:
-        return self.target_contract is TargetContract.F_OF_X
-
-    def ancilla_count(self, n: int) -> int:
-        """Closed-form auxiliary-qubit count for n variables."""
-        if self in (ConstructionKind.GENERAL_LOW_WIDTH,
-                    ConstructionKind.AND_LOW_WIDTH,
-                    ConstructionKind.ANDDG_LOW_WIDTH):
-            return 0
-        if self is ConstructionKind.GENERAL_DEPTH1:
-            return (1 << (n + 1)) - n - 2
-        return (1 << n) - n - 1
+    def __new__(cls, value: str, contract: TargetContract, depth1: bool):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.target_contract = contract
+        kind.depth1 = depth1
+        return kind
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,87 @@ class SynthesisResult:
 
 
 def synthesize(f: TruthTable, kind: ConstructionKind) -> SynthesisResult:
-    """Dispatch to the construction named by ``kind``."""
-    return _DISPATCH[kind](f)
+    """The construction named by ``kind`` for f."""
+    return _synthesize(spectrum(f), kind)
+
+
+def _synthesize(sd: SpectralData, kind: ConstructionKind) -> SynthesisResult:
+    """The construction named by ``kind`` from the spectrum ``sd``: the
+    contract picks the phase terms and the Clifford frame on the target,
+    the profile's scheduler places the terms on wires.  Any spectrum is
+    taken as given, so a corrupted one yields the corrupted circuit."""
+    contract = kind.target_contract
+    uncompute = contract is TargetContract.F_OF_X
+    coefficients = sd.coefficients.tolist()
+    angle_of = _angle_of(coefficients, angles(sd), doubled=uncompute)
+    schedule = _depth1 if kind.depth1 else _low_width
+    layout, qubits, body = schedule(sd.n, coefficients, angle_of,
+                                    inputs=contract is not TargetContract.ZERO,
+                                    targets=not uncompute)
+    t = layout.target
+    # The frame goes around the body in place: a body can hold hundreds of
+    # thousands of gates, and a second list of them would only add memory.
+    if uncompute:
+        body.append(x(t))
+        elements = (h(t), ConditionedBlock(t, Circuit(qubits, tuple(body))))
+    else:
+        body[:0] = (h(t), s(t))
+        body += (h(t), s(t)) if contract is TargetContract.ZERO else (h(t),)
+        elements = tuple(body)
+    circuit = Circuit(qubits, elements, layout.roles(qubits))
+    return SynthesisResult(kind, circuit, layout, len(layout.aux))
+
+
+# ---------------------------------------------------------------------------
+# Schedulers: (layout, qubit count, gates) placing the contract's terms.
+# ``inputs`` asks for the input parities k >= 1 by r1, ``targets`` for
+# every parity k XOR the target by r1dg.
+
+
+def _low_width(n: int, coefficients: list[int], angle_of: dict[int, Fraction],
+               inputs: bool, targets: bool) -> tuple[Layout, int, list[Gate]]:
+    """No auxiliary qubits: wire i-1 carries x_i and wire n the target.
+    Each input term led by x_{i+1} is phased by the Gray-code ladder on
+    wire i, and every target term by the ladder on the target wire.  With
+    both kinds of term this is at most ``2**(n+1) - 1`` rotations and
+    ``2**(n+1) - 2`` CNOTs; target terms alone need ``2**n`` of each."""
+    gates: list[Gate] = []
+    if inputs:
+        for i in range(n):
+            gates += _ladder(coefficients, angle_of, i, 1 << i, r1)
+    if targets:
+        gates += _ladder(coefficients, angle_of, n, 0, r1dg)
+    return Layout(controls=tuple(range(n)), target=n, aux=()), n + 1, gates
+
+
+def _depth1(n: int, coefficients: list[int], angle_of: dict[int, Fraction],
+            inputs: bool, targets: bool) -> tuple[Layout, int, list[Gate]]:
+    """All rotations in a single stage: label k on wire ``k + shift``, x_i
+    at label ``2**(i-1)``, one auxiliary wire per composite label.
+
+    With both kinds of term the labels run to ``2**(n+1)``, bit n selecting
+    the target (label ``2**n``), and shift is -1: ``2**(n+1) - n - 2``
+    auxiliary wires.  Otherwise the labels run to ``2**n``, the target is
+    label 0 and shift is 0: ``2**n - n - 1`` auxiliary wires.  Target terms
+    alone then need C3, a CNOT fan-out from the target, to fold the target
+    into every wire, so the one rotation layer phases ``parity xor
+    target`` everywhere.  The layer is C1 (+ C3) C2, then the rotations,
+    then the preparation in reverse, which undoes it since CNOT is
+    self-adjoint."""
+    both = inputs and targets
+    size, shift = (1 << (n + 1), -1) if both else (1 << n, 0)
+    target = (1 << n if both else 0) + shift
+    controls = tuple((1 << i) + shift for i in range(n))
+    aux, c1, c2 = _prep(size, shift)
+    c3 = () if inputs else tuple(cnot(target, c) for c in controls)
+    prep = c1 + c3 + c2
+    rotations: list[Gate] = []
+    if inputs:
+        rotations += [r1(angle_of[v], k + shift) for k, v in enumerate(coefficients) if k and v]
+    if targets:
+        rotations += [r1dg(angle_of[v], target + k) for k, v in enumerate(coefficients) if v]
+    layout = Layout(controls=controls, target=target, aux=aux)
+    return layout, size + shift, [*prep, *rotations, *prep[::-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -190,208 +267,3 @@ def _prep(size: int, shift: int) -> tuple[tuple[int, ...], tuple[Gate, ...],
     return (tuple(k + shift for k in labels),
             tuple(cnot(trailing_bit(k) + shift, k + shift) for k in labels),
             tuple(cnot(k - trailing_bit(k) + shift, k + shift) for k in labels))
-
-
-# ---------------------------------------------------------------------------
-# The six constructions
-
-
-def synth_general_low_width(f: TruthTable) -> SynthesisResult:
-    """Arbitrary target state, no auxiliary qubits.
-
-    Wire i-1 carries x_i and wire n the target.  The circuit is
-    ``H_n . S_n . C_0 ... C_{n-1} . C . H_n`` where each C_i is a Gray-code
-    ladder phasing the input-only combinations led by x_{i+1}, and C phases
-    every combination XOR y on the target wire with adjoint rotations.
-    Worst case it uses ``2**(n+1) - 1`` rotations and ``2**(n+1) - 2``
-    CNOTs.
-    """
-    sd = spectrum(f)
-    table = angles(sd)
-    return _general_low_width_from_spectrum(sd, table)
-
-
-def _general_low_width_from_spectrum(sd: SpectralData,
-                                     table: AngleTable) -> SynthesisResult:
-    n = sd.n
-    coefficients = sd.coefficients.tolist()
-    angle_of = _angle_of(coefficients, table)
-    elements: list[CircuitElement] = [h(n), s(n)]
-    for i in range(n):
-        elements += _ladder(coefficients, angle_of, i, 1 << i, r1)
-    elements += _ladder(coefficients, angle_of, n, 0, r1dg)
-    elements.append(h(n))
-    layout = Layout(controls=tuple(range(n)), target=n, aux=())
-    circuit = Circuit(n + 1, tuple(elements), layout.roles(n + 1))
-    return SynthesisResult(ConstructionKind.GENERAL_LOW_WIDTH, circuit, layout, 0)
-
-
-def synth_general_depth1(f: TruthTable) -> SynthesisResult:
-    """Arbitrary target state, all rotations in a single parallel stage.
-
-    One wire per nonzero combination label ``1 <= k < 2**(n+1)`` of the
-    inputs and the target (label bit i-1 selects x_i, bit n selects the
-    target); label k lives on physical qubit k - 1.  Wires of weight 1 are
-    the inputs and the target themselves; the other ``2**(n+1) - n - 2``
-    wires are auxiliary.  CNOT schedules C1 (seed from trailing bit) and C2
-    (fold in the rest) prepare every combination, a single layer R of
-    rotations fires on all wires at once, and the preparation is undone.
-    """
-    sd = spectrum(f)
-    table = angles(sd)
-    n = sd.n
-    size = 1 << (n + 1)
-    target = (1 << n) - 1  # physical index of label 2**n
-
-    aux, c1, c2 = _prep(size, -1)
-    prep = c1 + c2
-
-    coefficients = sd.coefficients.tolist()
-    angle_of = _angle_of(coefficients, table)
-    rotations = [r1(angle_of[v], k - 1) for k, v in enumerate(coefficients) if k and v]
-    rotations += [r1dg(angle_of[v], (1 << n) + k - 1)
-                  for k, v in enumerate(coefficients) if v]
-
-    # CNOT is self-adjoint, so the preparation is undone by its reverse.
-    elements = [h(target), s(target), *prep, *rotations, *prep[::-1], h(target)]
-    layout = Layout(
-        controls=tuple((1 << i) - 1 for i in range(n)),
-        target=target,
-        aux=aux,
-    )
-    circuit = Circuit(size - 1, tuple(elements), layout.roles(size - 1))
-    return SynthesisResult(
-        ConstructionKind.GENERAL_DEPTH1, circuit, layout,
-        ConstructionKind.GENERAL_DEPTH1.ancilla_count(n),
-    )
-
-
-def synth_and_low_width(f: TruthTable) -> SynthesisResult:
-    """Target known to be |0>, no auxiliary qubits.
-
-    Keeps only the target-wire ladder of the general low-width form (the
-    input-only rotations are unnecessary on this contract), so ``2**n``
-    rotations and ``2**n`` CNOTs suffice.  A final S on the target repairs
-    the residual phase ``(-i)**f(x)`` the dropped ladders would have
-    supplied, making the map ``|x>|0> -> |x>|f(x)>`` exact on
-    superpositions.
-    """
-    sd = spectrum(f)
-    table = angles(sd)
-    n = sd.n
-    elements: list[CircuitElement] = [h(n), s(n)]
-    coefficients = sd.coefficients.tolist()
-    elements += _ladder(coefficients, _angle_of(coefficients, table), n, 0, r1dg)
-    elements += [h(n), s(n)]
-    layout = Layout(controls=tuple(range(n)), target=n, aux=())
-    circuit = Circuit(n + 1, tuple(elements), layout.roles(n + 1))
-    return SynthesisResult(ConstructionKind.AND_LOW_WIDTH, circuit, layout, 0)
-
-
-def synth_and_depth1(f: TruthTable) -> SynthesisResult:
-    """Target known to be |0>, single rotation stage.
-
-    Uses ``2**n`` wires: the target at 0, x_i at ``2**(i-1)``, and one
-    auxiliary wire per composite label ``3 <= k < 2**n``.  C1 and C2
-    prepare the input combinations as in the general depth-1 form, and C3
-    (a CNOT fan-out from the target) folds the target into every wire, so
-    the single rotation layer phases ``combination xor target`` everywhere.
-    The same final S as in the low-width variant makes the contract exact.
-    """
-    sd = spectrum(f)
-    table = angles(sd)
-    n = sd.n
-    size = 1 << n
-
-    aux, c1, c2 = _prep(size, 0)
-    c3 = tuple(cnot(0, 1 << i) for i in range(n))
-    prep = c1 + c3 + c2
-
-    coefficients = sd.coefficients.tolist()
-    angle_of = _angle_of(coefficients, table)
-    rotations = [r1dg(angle_of[v], k) for k, v in enumerate(coefficients) if v]
-
-    elements = [h(0), s(0), *prep, *rotations, *prep[::-1], h(0), s(0)]
-    layout = Layout(
-        controls=tuple(1 << i for i in range(n)),
-        target=0,
-        aux=aux,
-    )
-    circuit = Circuit(size, tuple(elements), layout.roles(size))
-    return SynthesisResult(
-        ConstructionKind.AND_DEPTH1, circuit, layout,
-        ConstructionKind.AND_DEPTH1.ancilla_count(n),
-    )
-
-
-def synth_anddg_low_width(f: TruthTable) -> SynthesisResult:
-    """Target known to be |f(x)>, uncompute to |0>, no auxiliary qubits.
-
-    A Hadamard rotates the target into the X basis and it is measured.  On
-    outcome 0 the state is already ``|x>|0>``; on outcome 1 the surviving
-    amplitudes carry a ``(-1)**f(x)`` phase, which the conditioned block
-    repairs with the input-only Gray-code ladders at doubled angles before
-    an X resets the target.
-    """
-    sd = spectrum(f)
-    table = angles(sd)
-    n = sd.n
-
-    coefficients = sd.coefficients.tolist()
-    angle_of = _angle_of(coefficients, table, doubled=True)
-    body: list[Gate] = []
-    for i in range(n):
-        body += _ladder(coefficients, angle_of, i, 1 << i, r1)
-    body.append(x(n))
-
-    layout = Layout(controls=tuple(range(n)), target=n, aux=())
-    roles = layout.roles(n + 1)
-    block = ConditionedBlock(n, Circuit(n + 1, tuple(body)))
-    circuit = Circuit(n + 1, (h(n), block), roles)
-    return SynthesisResult(ConstructionKind.ANDDG_LOW_WIDTH, circuit, layout, 0)
-
-
-def synth_anddg_depth1(f: TruthTable) -> SynthesisResult:
-    """Target known to be |f(x)>, uncompute to |0>, single rotation stage.
-
-    Layout as in the depth-1 compute variant (target at 0, x_i at
-    ``2**(i-1)``).  Only input combinations are needed for the phase
-    repair, so the conditioned block prepares them with C1/C2, fires all
-    doubled-angle rotations in one stage, undoes the preparation, and
-    resets the target with an X.
-    """
-    sd = spectrum(f)
-    table = angles(sd)
-    n = sd.n
-    size = 1 << n
-
-    aux, c1, c2 = _prep(size, 0)
-    prep = c1 + c2
-
-    coefficients = sd.coefficients.tolist()
-    angle_of = _angle_of(coefficients, table, doubled=True)
-    rotations = [r1(angle_of[v], k) for k, v in enumerate(coefficients) if k and v]
-
-    body = [*prep, *rotations, *prep[::-1], x(0)]
-    layout = Layout(
-        controls=tuple(1 << i for i in range(n)),
-        target=0,
-        aux=aux,
-    )
-    roles = layout.roles(size)
-    block = ConditionedBlock(0, Circuit(size, tuple(body)))
-    circuit = Circuit(size, (h(0), block), roles)
-    return SynthesisResult(
-        ConstructionKind.ANDDG_DEPTH1, circuit, layout,
-        ConstructionKind.ANDDG_DEPTH1.ancilla_count(n),
-    )
-
-
-_DISPATCH = {
-    ConstructionKind.GENERAL_LOW_WIDTH: synth_general_low_width,
-    ConstructionKind.GENERAL_DEPTH1: synth_general_depth1,
-    ConstructionKind.AND_LOW_WIDTH: synth_and_low_width,
-    ConstructionKind.AND_DEPTH1: synth_and_depth1,
-    ConstructionKind.ANDDG_LOW_WIDTH: synth_anddg_low_width,
-    ConstructionKind.ANDDG_DEPTH1: synth_anddg_depth1,
-}

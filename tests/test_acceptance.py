@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from fcnot.boolfn import SpectralData, TruthTable, angles, lifted_spectrum, spectrum
+from fcnot.boolfn import SpectralData, TruthTable, lifted_spectrum, spectrum
 from fcnot.circuit import compose, resource_counts, rotation_depth
 from fcnot.sim import StateVector, apply, diagonal_decomposition_check, verify
-from fcnot.synth import ConstructionKind, _general_low_width_from_spectrum, synthesize
+from fcnot.synth import ConstructionKind, _synthesize, synthesize
 
 FIDELITY_TOL = 1e-9
 SEED = 20260810
@@ -225,7 +225,7 @@ def test_criterion_9_mutation_sensitivity():
         coefficients = sd.coefficients.copy()
         coefficients[int(j)] = -coefficients[int(j)]
         mutated = SpectralData(sd.n, sd.pm_vector, coefficients)
-        result = _general_low_width_from_spectrum(mutated, angles(mutated))
+        result = _synthesize(mutated, ConstructionKind.GENERAL_LOW_WIDTH)
         report = verify(result, f, random_states=20, seed=SEED,
                         tolerance=FIDELITY_TOL)
         assert report.verdict == "FAIL", f"flip of coefficient {j} went unnoticed"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,15 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcnot import sim
-from fcnot.boolfn import SpectralData, TruthTable, angles, spectrum
+from fcnot.boolfn import SpectralData, TruthTable, spectrum
 from fcnot.circuit import Circuit, ConditionedBlock, Gate, cnot, h, r1, r1dg, s, sdg, x
 from fcnot.sim import (
-    OracleMode,
     StateVector,
     apply,
     diagonal_decomposition_check,
     legal_basis_inputs,
-    oracle_mode,
     oracle_unitary,
     state_equal_up_to_phase,
     verify,
@@ -28,20 +27,21 @@ from fcnot.synth import (
     ConstructionKind,
     Layout,
     SynthesisResult,
-    _general_low_width_from_spectrum,
+    TargetContract,
+    _synthesize,
     synthesize,
 )
 
 AND2 = TruthTable.from_value(2, 0b1000)
 
 
-def corrupted_low_width(f: TruthTable, j: int):
+def corrupted(f: TruthTable, j: int, kind=ConstructionKind.GENERAL_LOW_WIDTH):
     """Synthesis of f with the sign of spectral coefficient j flipped."""
     sd = spectrum(f)
     coefficients = sd.coefficients.copy()
     coefficients[j] = -coefficients[j]
     mutated = SpectralData(sd.n, sd.pm_vector, coefficients)
-    return _general_low_width_from_spectrum(mutated, angles(mutated))
+    return _synthesize(mutated, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_state_equal_perturbation_threshold():
 
 
 def test_oracle_general_and2():
-    image = oracle_unitary(AND2, OracleMode.GENERAL)
+    image = oracle_unitary(AND2, TargetContract.ARBITRARY)
     assert image(0b011) == 0b111
     assert image(0b111) == 0b011
     for idx in (0, 1, 2, 4, 5, 6):
@@ -167,28 +167,28 @@ def test_oracle_general_and2():
 
 def test_oracle_constant_zero_is_identity():
     f = TruthTable.from_value(2, 0)
-    image = oracle_unitary(f, OracleMode.GENERAL)
+    image = oracle_unitary(f, TargetContract.ARBITRARY)
     assert all(image(k) == k for k in range(8))
 
 
 def test_oracle_parity_example():
     f = TruthTable(2, (0, 1, 1, 0))  # x1 xor x2
-    image = oracle_unitary(f, OracleMode.GENERAL)
+    image = oracle_unitary(f, TargetContract.ARBITRARY)
     # x1=1, x2=0 (index 1), y=1: f = 1 so y' = 0
     assert image(0b101) == 0b001
 
 
 def test_oracle_rejects_illegal_inputs():
-    image = oracle_unitary(AND2, OracleMode.TARGET_ZERO)
+    image = oracle_unitary(AND2, TargetContract.ZERO)
     with pytest.raises(ValueError):
         image(0b100)  # y = 1 is outside the target-zero subspace
-    modes = {
-        OracleMode.GENERAL: 8,
-        OracleMode.TARGET_ZERO: 4,
-        OracleMode.TARGET_FX: 4,
+    contracts = {
+        TargetContract.ARBITRARY: 8,
+        TargetContract.ZERO: 4,
+        TargetContract.F_OF_X: 4,
     }
-    for mode, count in modes.items():
-        assert len(legal_basis_inputs(AND2, mode)) == count
+    for contract, count in contracts.items():
+        assert len(legal_basis_inputs(AND2, contract)) == count
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +206,21 @@ def test_verify_passes_construction_1_on_and2():
 
 
 def test_verify_fails_on_corrupted_angle():
-    result = corrupted_low_width(AND2, 3)
+    result = corrupted(AND2, 3)
     report = verify(result, AND2)
     assert report.verdict == "FAIL"
     assert report.counterexample is not None
     assert report.counterexample.startswith("input basis")
+
+
+@pytest.mark.parametrize("kind", list(ConstructionKind))
+def test_every_construction_catches_a_flipped_coefficient(kind):
+    # 3-ary AND: all eight coefficients are nonzero, so every flip changes
+    # the circuit, except s_0 on the |f(x)> contract, which has no term for it
+    f = TruthTable.from_value(3, 1 << 7)
+    verdicts = "".join(verify(corrupted(f, j, kind), f).verdict[0] for j in range(8))
+    uncompute = kind.target_contract is TargetContract.F_OF_X
+    assert verdicts == ("PFFFFFFF" if uncompute else "FFFFFFFF")
 
 
 def test_verify_report_serializes_to_json():
@@ -239,6 +249,24 @@ def test_verify_reports_unverifiable_sizes(monkeypatch):
     assert report.verdict == "UNVERIFIABLE"
     assert "unverifiable" in report.counterexample
     assert (report.max_branches, report.peak_support, report.row_updates) == (0, 0, 0)
+
+
+def test_verify_fail_report_sums_many_rows_per_input():
+    # Hadamards on 17 idle auxiliaries leave every input on 2**17 basis
+    # indices, each with amplitude 2**-8.5; the FAIL report sums all of the
+    # failing input's rows
+    f = TruthTable.from_value(1, 2)
+    result = synthesize(f, ConstructionKind.GENERAL_LOW_WIDTH)
+    idle = tuple(range(2, 19))
+    layout = Layout(result.layout.controls, result.layout.target, idle)
+    spread = Circuit(19, result.circuit.elements + tuple(h(q) for q in idle),
+                     layout.roles(19))
+    report = verify(SynthesisResult(result.kind, spread, layout, len(idle)), f)
+    assert report.verdict == "FAIL"
+    assert report.counterexample == "input basis x=0 y=0, outcomes {}, infidelity 9.972e-01"
+    assert math.isclose(report.max_infidelity, 1 - 2 ** -8.5, rel_tol=1e-12)
+    assert not report.aux_restored
+    assert report.peak_support == 1 << 17
 
 
 def test_verify_reports_unverifiable_angles():
@@ -282,7 +310,7 @@ def test_verify_reports_branches_and_support():
 
 
 def test_verify_verdict_ignores_seed_states_and_tolerance():
-    result = corrupted_low_width(AND2, 1)
+    result = corrupted(AND2, 1)
     reports = [verify(result, AND2, random_states=r, seed=sd, tolerance=tol)
                for r, sd, tol in ((0, 1, 0.0), (20, 5, 1e-9), (3, 9, 0.5))]
     assert {r.verdict for r in reports} == {"FAIL"}
@@ -339,6 +367,14 @@ def test_randomized_verification_sweep():
 # verify() against the dense reference
 
 
+def embed(layout: Layout, n: int, index: int) -> int:
+    """The full-circuit basis index of oracle index ``x + y * 2**n``."""
+    out = (index >> n) << layout.target
+    for i, q in enumerate(layout.controls):
+        out |= ((index >> i) & 1) << q
+    return out
+
+
 def dense_verdict(result, f: TruthTable, superpositions: int = 2) -> str:
     """Reference check on the dense simulator: seeded random superpositions
     of the legal basis inputs, each measurement branch matched against the
@@ -346,21 +382,13 @@ def dense_verdict(result, f: TruthTable, superpositions: int = 2) -> str:
     so a random superposition exposes any defect with probability 1.  The
     image has every auxiliary at |0>, so the fidelity bound covers their
     restoration."""
-    mode = oracle_mode(result.kind)
-    layout = result.layout
+    contract = result.kind.target_contract
     m = result.circuit.qubit_count
     n = f.n
-    image = oracle_unitary(f, mode)
-
-    def embed(index: int) -> int:
-        out = (index >> n) << layout.target
-        for i, q in enumerate(layout.controls):
-            out |= ((index >> i) & 1) << q
-        return out
-
-    legal = [x + (y << n) for x, y in legal_basis_inputs(f, mode)]
-    ins = [embed(k) for k in legal]
-    outs = [embed(image(k)) for k in legal]
+    image = oracle_unitary(f, contract)
+    legal = [x + (y << n) for x, y in legal_basis_inputs(f, contract)]
+    ins = [embed(result.layout, n, k) for k in legal]
+    outs = [embed(result.layout, n, image(k)) for k in legal]
     rng = np.random.default_rng(len(legal))
     for _ in range(superpositions):
         weights = rng.normal(size=len(legal)) + 1j * rng.normal(size=len(legal))
@@ -431,6 +459,36 @@ def test_verify_agrees_with_dense_reference_on_negated_rotations():
             verdicts[report.verdict] += 1
     # negating a rotation by pi changes nothing, so both verdicts occur
     assert verdicts["PASS"] and verdicts["FAIL"] > verdicts["PASS"]
+
+
+def test_verify_basis_fail_infidelity_matches_dense_simulation():
+    # a basis input's FAIL infidelity, summed from its path-sum rows, against
+    # its dense state; Hadamards on idle auxiliaries spread it over more rows
+    f = AND2
+    checked = 0
+    for kind in (ConstructionKind.GENERAL_LOW_WIDTH, ConstructionKind.AND_DEPTH1):
+        result = synthesize(f, kind)
+        base = result.circuit.qubit_count
+        idle = tuple(range(base, base + 3))
+        layout = Layout(result.layout.controls, result.layout.target,
+                        result.layout.aux + idle)
+        for mutant in negated_rotations(result):
+            for spread in ((), tuple(h(q) for q in idle[:2])):
+                circuit = Circuit(base + 3, mutant.circuit.elements + spread,
+                                  layout.roles(base + 3))
+                report = verify(SynthesisResult(kind, circuit, layout, len(layout.aux)), f)
+                found = re.match(r"input basis x=(\d+) y=(\d)", report.counterexample or "")
+                if not found:
+                    continue
+                index = int(found[1], 2) + (int(found[2]) << f.n)
+                start = embed(layout, f.n, index)
+                state = apply(circuit, StateVector.basis(base + 3, start)).branches[0]
+                amps = state.state.amplitudes
+                image = embed(layout, f.n, oracle_unitary(f, kind.target_contract)(index))
+                expected = 1 - abs(amps[image]) / np.linalg.norm(amps)
+                assert report.max_infidelity == pytest.approx(expected, abs=1e-12)
+                checked += 1
+    assert checked == 19
 
 
 def test_verify_names_a_superposition_for_relative_phase_errors():

@@ -17,7 +17,7 @@ from fcnot.circuit import (
     rotation_depth,
     s,
 )
-from fcnot.sim import StateVector, apply, legal_basis_inputs, oracle_mode, verify
+from fcnot.sim import StateVector, apply, legal_basis_inputs, verify
 from fcnot.synth import ConstructionKind, synthesize
 
 AND2 = TruthTable.from_value(2, 0b1000)
@@ -383,8 +383,8 @@ def test_every_construction_verifies_on_and2():
 
 def test_verify_covers_only_legal_subspace():
     result = synthesize(AND2, ConstructionKind.AND_LOW_WIDTH)
-    mode = oracle_mode(result.kind)
-    assert len(legal_basis_inputs(AND2, mode)) == 4  # y = 1 inputs excluded
+    contract = result.kind.target_contract
+    assert len(legal_basis_inputs(AND2, contract)) == 4  # y = 1 inputs excluded
 
 
 def test_repeated_synthesis_is_unaffected_by_shared_gates():
