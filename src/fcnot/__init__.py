@@ -31,7 +31,6 @@ from .circuit import (
     Gate,
     GateKind,
     ResourceCounts,
-    adjoint,
     cnot,
     compose,
     h,
@@ -52,8 +51,7 @@ from .sim import (
     VerificationReport,
     apply,
     diagonal_decomposition_check,
-    legal_basis_inputs,
-    oracle_unitary,
+    oracle,
     state_equal_up_to_phase,
     verify,
 )

@@ -146,17 +146,15 @@ def walsh_hadamard(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """The +-1 vector of a Boolean function and its spectral coefficients."""
+    """The spectral coefficients of an n-variable Boolean function."""
 
     n: int
-    pm_vector: np.ndarray
     coefficients: np.ndarray
 
 
 def spectrum(f: TruthTable) -> SpectralData:
     """Spectral coefficients ``s = H_n * pm_one_vector(f)``."""
-    pm = pm_one_vector(f)
-    return SpectralData(n=f.n, pm_vector=pm, coefficients=walsh_hadamard(pm))
+    return SpectralData(n=f.n, coefficients=walsh_hadamard(pm_one_vector(f)))
 
 
 @dataclass(frozen=True)
@@ -252,8 +250,11 @@ def parse_function(text: str) -> TruthTable:
     and operators ``~`` (NOT), ``&`` (AND), ``^`` (XOR), ``|`` (OR) with
     precedence ``~ > & > ^ > |``, left-associative, plus parentheses.  The
     variable count is the highest subscript mentioned (an expression with
-    no variables is treated as a 1-variable constant).  Nesting deeper than
-    the interpreter's recursion limit is a ParseError.
+    no variables is treated as a 1-variable constant).  An expression is
+    evaluated bit-parallel, on whole packed truth tables as it is parsed,
+    so each operator costs one integer operation over all ``2**n``
+    assignments.  Nesting deeper than the interpreter's recursion limit is
+    a ParseError.
     """
     stripped = text.strip()
     m = _HEX_RE.match(stripped)
@@ -301,12 +302,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _ExpressionParser:
-    """Recursive-descent parser producing a tuple AST."""
+    """Recursive-descent parser that evaluates as it parses: each method
+    returns the packed truth table (bit k = value at assignment k) of the
+    subexpression it read, over ``n`` variables, so the whole table is
+    computed by a few integer operations per token."""
 
     def __init__(self, text: str) -> None:
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        # The variable count is the highest subscript; the tables are no
+        # wider than MAX_VARIABLES, since a larger count is rejected after
+        # the parse (a syntax error is reported first).
+        self.top = max([int(t[1:]) for kind, t, _ in self.tokens if kind == "var"], default=1)
+        self.n = min(self.top, MAX_VARIABLES)
+        self.ones = (1 << (1 << self.n)) - 1
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -316,90 +325,72 @@ class _ExpressionParser:
         self.index += 1
         return tok
 
-    def parse(self):
-        node = self.parse_or()
+    def parse(self) -> int:
+        value = self.parse_or()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {text!r}", pos)
-        return node
+        return value
 
-    def parse_or(self):
-        node = self.parse_xor()
+    def parse_or(self) -> int:
+        value = self.parse_xor()
         while self.peek()[0] == "|":
             self.advance()
-            node = ("or", node, self.parse_xor())
-        return node
+            value |= self.parse_xor()
+        return value
 
-    def parse_xor(self):
-        node = self.parse_and()
+    def parse_xor(self) -> int:
+        value = self.parse_and()
         while self.peek()[0] == "^":
             self.advance()
-            node = ("xor", node, self.parse_and())
-        return node
+            value ^= self.parse_and()
+        return value
 
-    def parse_and(self):
-        node = self.parse_unary()
+    def parse_and(self) -> int:
+        value = self.parse_unary()
         while self.peek()[0] == "&":
             self.advance()
-            node = ("and", node, self.parse_unary())
-        return node
+            value &= self.parse_unary()
+        return value
 
-    def parse_unary(self):
+    def parse_unary(self) -> int:
         if self.peek()[0] == "~":
             self.advance()
-            return ("not", self.parse_unary())
+            return self.parse_unary() ^ self.ones
         return self.parse_atom()
 
-    def parse_atom(self):
+    def parse_atom(self) -> int:
         kind, text, pos = self.advance()
         if kind == "var":
             subscript = int(text[1:])
             if subscript < 1:
                 raise ParseError("variable subscripts start at 1", pos)
-            return ("var", subscript)
+            # past MAX_VARIABLES the result is rejected, so any value will do
+            return _variable_table(self.n, subscript) if subscript <= self.n else 0
         if kind == "const":
-            return ("const", int(text))
+            return self.ones if text == "1" else 0
         if kind == "(":
-            node = self.parse_or()
+            value = self.parse_or()
             kind, text, pos = self.advance()
             if kind != ")":
                 raise ParseError("expected ')'", pos)
-            return node
+            return value
         raise ParseError(f"expected a variable, constant, or '(', got {text!r}", pos)
 
 
-def _max_variable(node) -> int:
-    tag = node[0]
-    if tag == "var":
-        return node[1]
-    if tag == "const":
-        return 0
-    if tag == "not":
-        return _max_variable(node[1])
-    return max(_max_variable(node[1]), _max_variable(node[2]))
-
-
-def _eval_node(node, assignment: int) -> int:
-    tag = node[0]
-    if tag == "var":
-        return (assignment >> (node[1] - 1)) & 1
-    if tag == "const":
-        return node[1]
-    if tag == "not":
-        return 1 - _eval_node(node[1], assignment)
-    a = _eval_node(node[1], assignment)
-    b = _eval_node(node[2], assignment)
-    if tag == "and":
-        return a & b
-    if tag == "xor":
-        return a ^ b
-    return a | b
+@lru_cache(maxsize=MAX_VARIABLES * MAX_VARIABLES)
+def _variable_table(n: int, i: int) -> int:
+    """The packed truth table of ``x_i`` over n variables: bit k is bit
+    ``i - 1`` of k, i.e. ``2**(i-1)`` zeros then as many ones, repeated.
+    The repetition is one product with ``sum_j 2**(j * 2**i)``."""
+    half = 1 << (i - 1)
+    block = ((1 << half) - 1) << half
+    return block * (((1 << (1 << n)) - 1) // ((1 << (2 * half)) - 1))
 
 
 def _parse_expression(text: str) -> TruthTable:
-    node = _ExpressionParser(text).parse()
-    n = max(_max_variable(node), 1)
-    if n > MAX_VARIABLES:
-        raise ParseError(f"variable count {n} out of range [1, {MAX_VARIABLES}]")
-    bits = tuple(_eval_node(node, k) for k in range(1 << n))
-    return TruthTable(n, bits)
+    parser = _ExpressionParser(text)
+    value = parser.parse()
+    if parser.top > MAX_VARIABLES:
+        raise ParseError(f"variable count {parser.top} out of range [1, {MAX_VARIABLES}]")
+    return TruthTable.from_value(parser.n, value)

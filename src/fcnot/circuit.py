@@ -3,7 +3,7 @@
 Circuits are flat ordered lists of gates plus optional measurement-conditioned
 sub-blocks, over integer-indexed qubits.  Rotation angles are exact rational
 multiples of pi (Fractions in units of pi with power-of-two denominators), so
-Clifford detection and adjoint bookkeeping never touch floating point.
+Clifford detection and the S merge never touch floating point.
 
 Gates and circuits are immutable after construction; every function here
 is pure.  One gate object may therefore stand at many positions of one or
@@ -33,14 +33,6 @@ class GateKind(Enum):
 # kinds by identity against these module-level names instead.
 _CNOT, _R1, _R1DG = GateKind.CNOT, GateKind.R1, GateKind.R1DG
 _ROTATIONS = (_R1, _R1DG)
-_SELF_ADJOINT = (GateKind.H, GateKind.X, _CNOT)
-
-_ADJOINT_KIND = {
-    GateKind.S: GateKind.SDG,
-    GateKind.SDG: GateKind.S,
-    GateKind.R1: GateKind.R1DG,
-    GateKind.R1DG: GateKind.R1,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,18 +69,6 @@ class Gate:
 
     def is_rotation(self) -> bool:
         return self.kind in _ROTATIONS
-
-    def is_clifford(self) -> bool:
-        """Every non-rotation gate is Clifford; a rotation is Clifford iff
-        its angle is a multiple of pi/2 (exact rational test)."""
-        if self.kind not in _ROTATIONS:
-            return True
-        return self.angle.denominator <= 2
-
-    def adjoint(self) -> "Gate":
-        if self.kind in _SELF_ADJOINT:
-            return self
-        return Gate(_ADJOINT_KIND[self.kind], self.qubits, self.angle)
 
 
 def h(q: int) -> Gate:
@@ -184,20 +164,6 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
     return Circuit(a.qubit_count, a.elements + b.elements, a.roles or b.roles)
 
 
-def adjoint(c: Circuit) -> Circuit:
-    """Reverse gate order, replacing each gate by its adjoint.
-
-    Raises on circuits containing measurements, which are not unitary.
-    """
-    if any(isinstance(el, ConditionedBlock) for el in c.elements):
-        raise ValueError("cannot take the adjoint of a measuring circuit")
-    return Circuit(
-        c.qubit_count,
-        tuple(el.adjoint() for el in reversed(c.elements)),
-        c.roles,
-    )
-
-
 def rotation_depth(c: Circuit) -> int:
     """Number of rotation stages: the longest chain of non-Clifford R1/R1DG
     gates in the dependency DAG (two gates depend iff they share a qubit).
@@ -247,19 +213,6 @@ class ResourceCounts:
     measurements: int
     qubits: int
     auxiliary: int
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "cnot": self.cnot,
-            "r1_total": self.r1_total,
-            "r1_non_clifford": self.r1_non_clifford,
-            "h": self.h,
-            "s": self.s,
-            "x": self.x,
-            "measurements": self.measurements,
-            "qubits": self.qubits,
-            "auxiliary": self.auxiliary,
-        }
 
 
 def resource_counts(c: Circuit) -> ResourceCounts:

@@ -39,19 +39,15 @@ def _construction(name: str) -> synth.ConstructionKind:
         raise argparse.ArgumentTypeError(f"expected one of: {choices}") from None
 
 
-def _number(convert, minimum: int, adjective: str):
-    """argparse type: ``convert`` the text and require ``>= minimum``
-    (which NaN fails)."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not value >= minimum:
-            raise argparse.ArgumentTypeError(f"expected a {adjective} number, got {text}")
-        return value
-
-    return parse
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    return value
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -134,10 +130,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         ["function", "qubits", "ancillas", "cnot", "r1_total",
          "r1_non_clifford", "rotation_depth", "measurements", "verify"]
     )
-    for row_index, f in enumerate(tables):
+    for f in tables:
         result = synth.synthesize(f, args.construction)
         metrics = result.metrics()
-        report = sim.verify(result, f, seed=args.seed + row_index)
+        report = sim.verify(result, f)
         writer.writerow(
             [f.hex_form(), metrics["qubits"], metrics["ancillas"],
              metrics["cnot"], metrics["r1_total"], metrics["r1_non_clifford"],
@@ -171,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-s", action="store_true",
                    help="absorb the designated S gate into the first adjoint "
                    "rotation on the target")
-    p.add_argument("--max-columns", type=_number(int, 1, "positive"), default=None,
+    p.add_argument("--max-columns", type=_positive_int, default=None,
                    help="wrap text diagrams after this many gate columns")
     p.set_defaults(func_impl=cmd_synth)
 
@@ -179,11 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_func(p)
     add_construction(p)
     p.add_argument("--seed", type=int, default=1, help="echoed in the report")
-    # The check is exact: it draws no random state and applies no tolerance.
-    p.add_argument("--random-states", type=_number(int, 0, "nonnegative"), default=20,
-                   help="ignored; kept for compatibility")
-    p.add_argument("--tol", type=_number(float, 0, "nonnegative"), default=1e-9,
-                   help="ignored; kept for compatibility")
     p.set_defaults(func_impl=cmd_verify)
 
     p = sub.add_parser("stats", help="print resource metrics as JSON")

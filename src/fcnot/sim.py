@@ -9,7 +9,9 @@ power-of-two root of unity.  The rows are kept in a canonical form, so
 amplitudes compare with no float tolerance.  Per measurement branch the
 circuit is linear: if every input lands on its oracle image with one
 common amplitude, every superposition of legal inputs does too, so no
-random states are needed.
+random states are needed.  ``oracle`` gives the legal inputs and their
+images as arrays, computed from the truth table alone, so the ground
+truth stays independent of synthesis.
 
 The circuit runs as a segment plan, built by one static pass before any
 row work.  Hadamards and measurement-conditioned blocks split it into
@@ -22,8 +24,7 @@ circuits, so every construction verifies up to n = 16 (general-depth1 at
 n = 16, 131071 qubits, in about 0.7 s).  There is no qubit cap; circuits
 whose plan work exceeds ``WORK_BOUND`` row updates are reported
 UNVERIFIABLE before any row work starts.  No random state is drawn and no
-tolerance applies: ``random_states`` and ``tolerance`` are accepted for
-compatibility and ignored, and ``seed`` is only echoed in the report.
+tolerance applies; ``seed`` is only echoed in the report.
 
 ``apply`` runs Clifford+R1 gates on dense statevectors.  A
 measurement-conditioned block splits the state into the two Z-basis
@@ -42,7 +43,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable
 
 import numpy as np
 
@@ -215,30 +215,22 @@ def state_equal_up_to_phase(a: StateVector, b: StateVector, tol: float) -> bool:
 # Reference oracle
 
 
-def legal_basis_inputs(f: TruthTable, contract: TargetContract) -> list[tuple[int, int]]:
-    """The (x, y) basis pairs the target contract covers."""
-    xs = range(1 << f.n)
-    if contract is TargetContract.ARBITRARY:
-        return [(x, y) for y in (0, 1) for x in xs]
-    if contract is TargetContract.ZERO:
-        return [(x, 0) for x in xs]
-    return [(x, f.bits[x]) for x in xs]
-
-
-def oracle_unitary(f: TruthTable, contract: TargetContract) -> Callable[[int], int]:
-    """Ground-truth permutation on basis indices ``x + y * 2**n``:
-    ``|x>|y> -> |x>|y xor f(x)>``, restricted to the contract's legal inputs."""
+def oracle(f: TruthTable, contract: TargetContract) -> tuple[np.ndarray, np.ndarray]:
+    """The ground-truth permutation ``|x>|y> -> |x>|y xor f(x)>`` on the
+    contract's legal basis inputs, as two int64 arrays: the inputs ``x + y
+    * 2**n`` in order of x (for the arbitrary contract, every y = 0 input
+    first), and their images ``x + (y xor f(x)) * 2**n``.  It reads only
+    ``f.bits``."""
     n = f.n
-    legal = {x + (y << n) for x, y in legal_basis_inputs(f, contract)}
-
-    def image(index: int) -> int:
-        if index not in legal:
-            raise ValueError(f"basis index {index} is outside the legal subspace")
-        x = index & ((1 << n) - 1)
-        y = index >> n
-        return x + ((y ^ f.bits[x]) << n)
-
-    return image
+    flip = np.array(f.bits, dtype=np.int64) << n  # f(x) on the target bit
+    if contract is TargetContract.ARBITRARY:
+        inputs = np.arange(2 << n, dtype=np.int64)
+        flip = np.concatenate((flip, flip))
+    else:
+        inputs = np.arange(1 << n, dtype=np.int64)
+        if contract is TargetContract.F_OF_X:
+            inputs |= flip
+    return inputs, inputs ^ flip
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +255,17 @@ WORK_BOUND = 1 << 23
 class VerificationReport:
     """Outcome of checking one synthesized circuit against the oracle.
 
-    ``random_inputs`` and ``tolerance`` are what the check used, always 0:
-    the exact check covers every superposition with no random input and no
-    float tolerance.  ``seed`` echoes the argument.
-    ``max_infidelity`` is 0.0 on PASS and the counterexample's infidelity on
-    FAIL.  ``max_branches`` counts the measurement branches reached,
-    ``peak_support`` is the most path-sum rows one input ever held, and
-    ``row_updates`` is the row work done, counted as ``WORK_BOUND`` counts
-    it (0 when no row work ran).
+    ``seed`` echoes the argument.  ``max_infidelity`` is 0.0 on PASS and
+    the counterexample's infidelity on FAIL.  ``max_branches`` counts the
+    measurement branches reached, ``peak_support`` is the most path-sum
+    rows one input ever held, and ``row_updates`` is the row work done,
+    counted as ``WORK_BOUND`` counts it (0 when no row work ran).
     """
 
     construction: str
     function: str
     basis_inputs: int
-    random_inputs: int
     seed: int
-    tolerance: float
     max_infidelity: float
     aux_restored: bool
     verdict: str
@@ -714,14 +701,7 @@ def _unequal_amplitude(t: _Terms, inputs: int):
     return None
 
 
-def verify(
-    result: SynthesisResult,
-    f: TruthTable,
-    *,
-    random_states: int = 20,
-    seed: int = 1,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> VerificationReport:
     """Certify a synthesis result against the brute-force oracle, exactly.
 
     All legal basis inputs, auxiliaries at |0>, run through the circuit at
@@ -735,10 +715,8 @@ def verify(
     lands elsewhere, or else the equal superposition of two inputs whose
     amplitudes differ.  Circuits whose plan work exceeds ``WORK_BOUND``,
     or with rotations finer than ``pi / 2**62``, are reported UNVERIFIABLE
-    before any row work starts.
-
-    ``random_states`` and ``tolerance`` are accepted for compatibility and
-    ignored; ``seed`` is echoed in the report.
+    before any row work starts.  No random state is drawn and no tolerance
+    applies; ``seed`` is only echoed in the report.
     """
     contract = result.kind.target_contract
     circuit = result.circuit
@@ -750,9 +728,7 @@ def verify(
             construction=result.kind.value,
             function=f.hex_form(),
             basis_inputs=basis,
-            random_inputs=0,
             seed=seed,
-            tolerance=0.0,
             max_infidelity=infidelity,
             aux_restored=aux_ok,
             verdict=verdict,
@@ -767,8 +743,8 @@ def verify(
         return report("UNVERIFIABLE",
                       counter=f"unverifiable rotation angle (finer than pi/2**{_MAX_K})")
     n = f.n
-    pairs = legal_basis_inputs(f, contract)
-    inputs = len(pairs)
+    legal, images = oracle(f, contract)
+    inputs = legal.size
     # Start slots ordered so that rows differing only there sort as
     # basis-index words would (word 0's top bit first, the last word's
     # bottom bit last).  Other slots are numbered as their wires go live, so
@@ -785,13 +761,10 @@ def verify(
                     f" updates > bound {WORK_BOUND})",
         )
 
-    image = oracle_unitary(f, contract)
-    xs, ys = np.array(pairs, dtype=np.int64).T
-    images = np.array([image(x + (y << n)) for x, y in pairs], dtype=np.int64)
     slots = [slot[q] for q in (*layout.controls, layout.target)]
     expected = _embed(slots, images, words)
     zeros = np.zeros(inputs, dtype=np.int64)
-    rows = _Terms(zeros, np.arange(inputs), _embed(slots, xs + (ys << n), words),
+    rows = _Terms(zeros, np.arange(inputs), _embed(slots, legal, words),
                   zeros.copy(), np.zeros(inputs, dtype=np.uint64),
                   np.ones(inputs, dtype=np.int64))
     t, outcomes, peak, work = _simulate(plan, rows, k, inputs)
@@ -806,7 +779,8 @@ def verify(
     aux_ok = not (t.idx & aux).any()
 
     def label(i: int) -> str:
-        return f"basis x={int(xs[i]):0{n}b} y={int(ys[i])}"
+        y, x = divmod(int(legal[i]), 1 << n)
+        return f"basis x={x:0{n}b} y={y}"
 
     off = np.flatnonzero((t.idx != expected[t.inp]).any(axis=1))
     if off.size:
@@ -867,7 +841,8 @@ def diagonal_decomposition_check(f: TruthTable) -> bool:
     ghat = np.concatenate(
         [np.ones(1 << n), pm_one_vector(f).astype(float)]
     ).astype(complex)
-    image = oracle_unitary(f, TargetContract.ARBITRARY)
+    # the arbitrary contract's inputs are 0 .. dim - 1 in order
+    _, image = oracle(f, TargetContract.ARBITRARY)
 
     for k in range(dim):
         amps = np.zeros(dim, dtype=complex)
@@ -875,7 +850,7 @@ def diagonal_decomposition_check(f: TruthTable) -> bool:
         _apply_gate(amps, Gate(GateKind.H, (n,)), m)
         amps *= ghat
         _apply_gate(amps, Gate(GateKind.H, (n,)), m)
-        if abs(amps[image(k)] - 1.0) > 1e-9:
+        if abs(amps[image[k]] - 1.0) > 1e-9:
             return False
 
     # Phase-polynomial cross-check: the diagonal rebuilt from the lifted

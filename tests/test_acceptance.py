@@ -57,9 +57,7 @@ def test_criterion_1_exhaustive_verification():
         for f in all_functions(n):
             for kind in ConstructionKind:
                 result = synthesize(f, kind)
-                report = verify(
-                    result, f, random_states=20, seed=SEED, tolerance=FIDELITY_TOL
-                )
+                report = verify(result, f, seed=SEED)
                 assert report.verdict == "PASS", (
                     n, f.hex_form(), kind.value, report.counterexample
                 )
@@ -224,8 +222,7 @@ def test_criterion_9_mutation_sensitivity():
     for j in rng.integers(0, 8, size=10):
         coefficients = sd.coefficients.copy()
         coefficients[int(j)] = -coefficients[int(j)]
-        mutated = SpectralData(sd.n, sd.pm_vector, coefficients)
+        mutated = SpectralData(sd.n, coefficients)
         result = _synthesize(mutated, ConstructionKind.GENERAL_LOW_WIDTH)
-        report = verify(result, f, random_states=20, seed=SEED,
-                        tolerance=FIDELITY_TOL)
+        report = verify(result, f, seed=SEED)
         assert report.verdict == "FAIL", f"flip of coefficient {j} went unnoticed"

@@ -102,6 +102,33 @@ def test_parse_out_of_range_variable():
         parse_function("0x0:0")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    # a syntax error is reported before the out-of-range count
+    ("x17 & & x1", "expected a variable, constant, or '(', got '&'", 6),
+    ("(x1 & x17", "expected ')'", 9),
+    ("x0 & x1", "variable subscripts start at 1", 0),
+    ("x17", "variable count 17 out of range [1, 16]", None),
+    ("x99999999999999999999 & x1",
+     "variable count 99999999999999999999 out of range [1, 16]", None),
+    ("", "expected a variable, constant, or '(', got ''", 0),
+    ("~", "expected a variable, constant, or '(', got ''", 1),
+    ("x1 $", "unexpected character '$'", 3),
+])
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_function(text)
+    assert exc.value.position == position
+    suffix = "" if position is None else f" (at position {position})"
+    assert str(exc.value) == message + suffix
+
+
+def test_parse_expression_at_16_variables():
+    f = parse_function("x16 ^ ~x1")
+    assert f.n == 16
+    assert f.bits == tuple(((k >> 15) & 1) ^ (1 - (k & 1)) for k in range(1 << 16))
+    assert parse_function(f.hex_form()) == f
+
+
 @pytest.mark.parametrize("text", ["(" * 3000 + "x1" + ")" * 3000, "~" * 3000 + "x1"],
                          ids=["parentheses", "negations"])
 def test_parse_deep_nesting_is_a_parse_error(text):

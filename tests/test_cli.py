@@ -111,17 +111,6 @@ def test_verify_unverifiable_exit_3(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "UNVERIFIABLE"
 
 
-@pytest.mark.parametrize("option", [("--random-states", "-1"), ("--tol", "-1"),
-                                    ("--tol", "nan")])
-def test_verify_negative_option_exits_2(capsys, option):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--func", "x1 & x2", "--construction", "and-depth1", *option])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "nonnegative" in captured.err
-
-
 @pytest.mark.parametrize("text", ["(" * 3000 + "x1" + ")" * 3000, "~" * 3000 + "x1"],
                          ids=["parentheses", "negations"])
 def test_verify_deeply_nested_expression_exits_2(capsys, text):

@@ -18,8 +18,7 @@ from fcnot.sim import (
     StateVector,
     apply,
     diagonal_decomposition_check,
-    legal_basis_inputs,
-    oracle_unitary,
+    oracle,
     state_equal_up_to_phase,
     verify,
 )
@@ -40,7 +39,7 @@ def corrupted(f: TruthTable, j: int, kind=ConstructionKind.GENERAL_LOW_WIDTH):
     sd = spectrum(f)
     coefficients = sd.coefficients.copy()
     coefficients[j] = -coefficients[j]
-    mutated = SpectralData(sd.n, sd.pm_vector, coefficients)
+    mutated = SpectralData(sd.n, coefficients)
     return _synthesize(mutated, kind)
 
 
@@ -157,38 +156,63 @@ def test_state_equal_perturbation_threshold():
 # Oracle
 
 
+def images_of(f: TruthTable, contract: TargetContract) -> dict[int, int]:
+    """The oracle as a map from each legal input index to its image."""
+    return dict(zip(*(a.tolist() for a in oracle(f, contract))))
+
+
 def test_oracle_general_and2():
-    image = oracle_unitary(AND2, TargetContract.ARBITRARY)
-    assert image(0b011) == 0b111
-    assert image(0b111) == 0b011
+    image = images_of(AND2, TargetContract.ARBITRARY)
+    assert image[0b011] == 0b111
+    assert image[0b111] == 0b011
     for idx in (0, 1, 2, 4, 5, 6):
-        assert image(idx) == idx
+        assert image[idx] == idx
 
 
 def test_oracle_constant_zero_is_identity():
     f = TruthTable.from_value(2, 0)
-    image = oracle_unitary(f, TargetContract.ARBITRARY)
-    assert all(image(k) == k for k in range(8))
+    inputs, images = oracle(f, TargetContract.ARBITRARY)
+    assert inputs.tolist() == images.tolist() == list(range(8))
 
 
 def test_oracle_parity_example():
     f = TruthTable(2, (0, 1, 1, 0))  # x1 xor x2
-    image = oracle_unitary(f, TargetContract.ARBITRARY)
+    image = images_of(f, TargetContract.ARBITRARY)
     # x1=1, x2=0 (index 1), y=1: f = 1 so y' = 0
-    assert image(0b101) == 0b001
+    assert image[0b101] == 0b001
 
 
 def test_oracle_rejects_illegal_inputs():
-    image = oracle_unitary(AND2, TargetContract.ZERO)
-    with pytest.raises(ValueError):
-        image(0b100)  # y = 1 is outside the target-zero subspace
+    # y = 1 is outside the target-zero subspace, so it is no input there
+    assert 0b100 not in images_of(AND2, TargetContract.ZERO)
     contracts = {
         TargetContract.ARBITRARY: 8,
         TargetContract.ZERO: 4,
         TargetContract.F_OF_X: 4,
     }
     for contract, count in contracts.items():
-        assert len(legal_basis_inputs(AND2, contract)) == count
+        inputs, images = oracle(AND2, contract)
+        assert (inputs.dtype, images.dtype) == (np.int64, np.int64)
+        assert inputs.size == images.size == count
+
+
+@pytest.mark.parametrize("contract", list(TargetContract))
+def test_oracle_matches_per_entry_brute_force(contract):
+    """Every function with n <= 3: the legal inputs in order, each sent to
+    ``x + (y xor f(x)) * 2**n``."""
+    for n in (1, 2, 3):
+        for value in range(1 << (1 << n)):
+            f = TruthTable.from_value(n, value)
+            xs = range(1 << n)
+            if contract is TargetContract.ARBITRARY:
+                pairs = [(x, y) for y in (0, 1) for x in xs]
+            elif contract is TargetContract.ZERO:
+                pairs = [(x, 0) for x in xs]
+            else:
+                pairs = [(x, f.bits[x]) for x in xs]
+            inputs, images = oracle(f, contract)
+            assert inputs.tolist() == [x + (y << n) for x, y in pairs]
+            assert images.tolist() == [x + ((y ^ f.bits[x]) << n) for x, y in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +225,6 @@ def test_verify_passes_construction_1_on_and2():
     assert report.verdict == "PASS"
     assert report.max_infidelity < 1e-12
     assert report.basis_inputs == 8
-    assert report.random_inputs == 0  # exact: no random state is drawn
     assert report.aux_restored
 
 
@@ -311,11 +334,9 @@ def test_verify_reports_branches_and_support():
 
 def test_verify_verdict_ignores_seed_states_and_tolerance():
     result = corrupted(AND2, 1)
-    reports = [verify(result, AND2, random_states=r, seed=sd, tolerance=tol)
-               for r, sd, tol in ((0, 1, 0.0), (20, 5, 1e-9), (3, 9, 0.5))]
+    reports = [verify(result, AND2, seed=sd) for sd in (1, 5, 9)]
     assert {r.verdict for r in reports} == {"FAIL"}
     assert len({r.counterexample for r in reports}) == 1
-    assert {(r.random_inputs, r.tolerance) for r in reports} == {(0, 0.0)}
     assert [r.seed for r in reports] == [1, 5, 9]
 
 
@@ -324,21 +345,6 @@ def test_verify_is_deterministic():
     a = verify(result, AND2, seed=4).to_json()
     b = verify(result, AND2, seed=4).to_json()
     assert a == b
-
-
-def test_compose_adjoint_identity_on_random_states():
-    from fcnot.circuit import adjoint, compose
-
-    rng = np.random.default_rng(31)
-    f = TruthTable.from_value(3, 0x96)
-    circuit = synthesize(f, ConstructionKind.GENERAL_LOW_WIDTH).circuit
-    round_trip = compose(circuit, adjoint(circuit))
-    for _ in range(5):
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(4, amps)
-        out = apply(round_trip, state).branches[0].state
-        assert state_equal_up_to_phase(state, out, 1e-9)
 
 
 def test_randomized_verification_sweep():
@@ -359,7 +365,7 @@ def test_randomized_verification_sweep():
         for _ in range(count):
             bits = tuple(int(b) for b in rng.integers(0, 2, size=1 << n))
             f = TruthTable(n, bits)
-            report = verify(synthesize(f, kind), f, random_states=2, seed=13)
+            report = verify(synthesize(f, kind), f, seed=13)
             assert report.verdict == "PASS", (kind, f.hex_form(), report.counterexample)
 
 
@@ -385,10 +391,10 @@ def dense_verdict(result, f: TruthTable, superpositions: int = 2) -> str:
     contract = result.kind.target_contract
     m = result.circuit.qubit_count
     n = f.n
-    image = oracle_unitary(f, contract)
-    legal = [x + (y << n) for x, y in legal_basis_inputs(f, contract)]
+    inputs, images = oracle(f, contract)
+    legal = inputs.tolist()
     ins = [embed(result.layout, n, k) for k in legal]
-    outs = [embed(result.layout, n, image(k)) for k in legal]
+    outs = [embed(result.layout, n, k) for k in images.tolist()]
     rng = np.random.default_rng(len(legal))
     for _ in range(superpositions):
         weights = rng.normal(size=len(legal)) + 1j * rng.normal(size=len(legal))
@@ -484,7 +490,7 @@ def test_verify_basis_fail_infidelity_matches_dense_simulation():
                 start = embed(layout, f.n, index)
                 state = apply(circuit, StateVector.basis(base + 3, start)).branches[0]
                 amps = state.state.amplitudes
-                image = embed(layout, f.n, oracle_unitary(f, kind.target_contract)(index))
+                image = embed(layout, f.n, images_of(f, kind.target_contract)[index])
                 expected = 1 - abs(amps[image]) / np.linalg.norm(amps)
                 assert report.max_infidelity == pytest.approx(expected, abs=1e-12)
                 checked += 1
