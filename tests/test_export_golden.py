@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from fcnot.boolfn import TruthTable, parse_function
-from fcnot.circuit import (Circuit, ConditionedBlock, cnot, h, merge_s_gate, r1,
-                           r1dg, s, sdg, x)
+from fcnot.circuit import (Circuit, ConditionedBlock, GateKind, cnot, h, merge_s_gate,
+                           r1, r1dg, s, sdg, x)
 from fcnot.export import to_text_diagram
 from fcnot.synth import ConstructionKind, synthesize
 
@@ -65,6 +65,51 @@ def _hand_built() -> dict[str, Circuit]:
     }
 
 
+#: Gate constructors, one per kind.
+KINDS = (h, s, sdg, x, cnot, r1, r1dg)
+
+
+def _random_gate(rng: np.random.Generator, wires: list[int]):
+    make = KINDS[rng.integers(len(KINDS))]
+    if make is cnot:
+        control, target = rng.choice(wires, 2, replace=False)
+        return cnot(int(control), int(target))
+    q = int(rng.choice(wires))
+    if make is r1 or make is r1dg:
+        return make(Fraction(int(rng.integers(-9, 10)), 1 << int(rng.integers(4))), q)
+    return make(q)
+
+
+def _random_block(rng: np.random.Generator, n: int, wires: list[int]) -> ConditionedBlock:
+    body = [_random_gate(rng, wires) for _ in range(rng.integers(0, 7))]
+    return ConditionedBlock(int(rng.choice(wires)), Circuit(n, tuple(body)))
+
+
+def _random_circuit(seed: int) -> Circuit:
+    """Random gates of every kind, blocks (some empty, some with drops
+    crossing the measured wire), pairs of blocks on disjoint halves of the
+    wires that share columns, and repeated element objects; roles are
+    ``None`` at even seeds."""
+    rng = np.random.default_rng([20209, seed])
+    n = int(rng.integers(4, 9))
+    wires = list(range(n))
+    halves = wires[: n // 2], wires[n // 2 :]
+    elements = []
+    for _ in range(rng.integers(12, 30)):
+        roll = rng.random()
+        if roll < 0.1 and elements:
+            elements.append(elements[rng.integers(len(elements))])
+        elif roll < 0.2:
+            elements.append(_random_block(rng, n, wires))
+        elif roll < 0.27:
+            elements.extend(_random_block(rng, n, half) for half in halves)
+        else:
+            elements.append(_random_gate(rng, wires))
+    roles = None if seed % 2 == 0 else tuple(
+        str(rng.choice(("target", "aux", f"x{q + 1}", f"x{q + 10}"))) for q in wires)
+    return Circuit(n, tuple(elements), roles)
+
+
 def cases() -> dict[str, Circuit]:
     out = {}
     for n in (2, 3, 4):
@@ -81,6 +126,7 @@ def cases() -> dict[str, Circuit]:
     out["merged/general-lowwidth/0xb6:3"] = merge_s_gate(
         synthesize(parse_function("0xb6:3"), ConstructionKind.GENERAL_LOW_WIDTH).circuit)
     out.update(_hand_built())
+    out.update((f"random/seed-{seed}", _random_circuit(seed)) for seed in range(10))
     return out
 
 
@@ -111,6 +157,28 @@ def test_golden_covers_a_block_across_a_wrap():
         for first, second in zip(sections, sections[1:])
         for left, right in zip(first, second)
     )
+
+
+def test_random_cases_cover_the_rare_shapes():
+    """Every gate kind, a conditioned drop crossing its measured wire, an
+    empty block, adjacent blocks on disjoint wires, no roles, and a block
+    across a wrap all occur among the random cases."""
+    circuits = [_random_circuit(seed) for seed in range(10)]
+    elements = [el for c in circuits for el in c.elements]
+    blocks = [el for el in elements if isinstance(el, ConditionedBlock)]
+    gates = [el for el in elements if not isinstance(el, ConditionedBlock)]
+    gates += [g for b in blocks for g in b.body.elements]
+    assert {g.kind for g in gates} == set(GateKind)
+    assert any(min(g.qubits) < b.measured_qubit < max(g.qubits)
+               for b in blocks for g in b.body.elements)
+    assert any(not b.body.elements for b in blocks)
+    assert any(
+        isinstance(a, ConditionedBlock) and isinstance(b, ConditionedBlock)
+        and {a.measured_qubit, *(q for g in a.body.elements for q in g.qubits)}.isdisjoint(
+            {b.measured_qubit, *(q for g in b.body.elements for q in g.qubits)})
+        for c in circuits for a, b in zip(c.elements, c.elements[1:]))
+    assert any(c.roles is None for c in circuits)
+    assert any("═…" in to_text_diagram(c, max_columns=4) for c in circuits)
 
 
 @pytest.mark.parametrize("m", [0, -3])
