@@ -268,10 +268,29 @@ def parse_function(text: str) -> TruthTable:
         raise ParseError("expression is nested too deeply") from None
 
 
+#: A decimal field (variable count or subscript) with more significant
+#: digits than this is out of every range here, and is not converted:
+#: Python refuses to convert over 4300 digits.
+_MAX_DIGITS = 100
+_TOO_LONG = 10**_MAX_DIGITS
+
+
+def _decimal(digits: str) -> int:
+    """The value of a decimal field, or ``_TOO_LONG`` past ``_MAX_DIGITS``."""
+    if len(digits) > _MAX_DIGITS:
+        digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= _MAX_DIGITS else _TOO_LONG
+
+
+def _count_out_of_range(n: int) -> ParseError:
+    count = f"of over {_MAX_DIGITS} digits" if n == _TOO_LONG else n
+    return ParseError(f"variable count {count} out of range [1, {MAX_VARIABLES}]")
+
+
 def _parse_hex(payload: str, n_text: str) -> TruthTable:
-    n = int(n_text)
+    n = _decimal(n_text)
     if not 1 <= n <= MAX_VARIABLES:
-        raise ParseError(f"variable count {n} out of range [1, {MAX_VARIABLES}]")
+        raise _count_out_of_range(n)
     value = int(payload, 16)
     if value.bit_length() > 1 << n:
         raise ParseError(f"hex payload is wider than {1 << n} bits")
@@ -313,7 +332,8 @@ class _ExpressionParser:
         # The variable count is the highest subscript; the tables are no
         # wider than MAX_VARIABLES, since a larger count is rejected after
         # the parse (a syntax error is reported first).
-        self.top = max([int(t[1:]) for kind, t, _ in self.tokens if kind == "var"], default=1)
+        self.subscripts = {t: _decimal(t[1:]) for kind, t, _ in self.tokens if kind == "var"}
+        self.top = max(self.subscripts.values(), default=1)
         self.n = min(self.top, MAX_VARIABLES)
         self.ones = (1 << (1 << self.n)) - 1
 
@@ -362,7 +382,7 @@ class _ExpressionParser:
     def parse_atom(self) -> int:
         kind, text, pos = self.advance()
         if kind == "var":
-            subscript = int(text[1:])
+            subscript = self.subscripts[text]
             if subscript < 1:
                 raise ParseError("variable subscripts start at 1", pos)
             # past MAX_VARIABLES the result is rejected, so any value will do
@@ -392,5 +412,5 @@ def _parse_expression(text: str) -> TruthTable:
     parser = _ExpressionParser(text)
     value = parser.parse()
     if parser.top > MAX_VARIABLES:
-        raise ParseError(f"variable count {parser.top} out of range [1, {MAX_VARIABLES}]")
+        raise _count_out_of_range(parser.top)
     return TruthTable.from_value(parser.n, value)

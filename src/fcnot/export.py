@@ -4,16 +4,17 @@ Both outputs are deterministic: the same circuit always serializes to the
 same bytes, and every rotation angle appears as an exact integer-over-
 power-of-two multiple of pi, never as a floating-point literal.
 
-Both are linear in their output size.  The diagram is built one column at
-a time: each column's width is computed once, and a vertical connector
-fills its run of rows in one step.
+Both are linear in their output size.  The diagram places each gate with one
+loop, then paints a grid of code points in a fixed number of numpy steps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
+
+import numpy as np
 
 from .circuit import Circuit, ConditionedBlock, Gate, GateKind
 
@@ -30,85 +31,16 @@ def format_pi_multiple(angle: Fraction) -> str:
     return f"{sign}{head}{tail}"
 
 
-def _gate_cells(gate: Gate) -> dict[int, str]:
-    kind = gate.kind
-    if kind is GateKind.CNOT:
-        control, target = gate.qubits
-        return {control: "●", target: "⊕"}
-    (q,) = gate.qubits
-    if kind is GateKind.R1:
-        return {q: f"R1({format_pi_multiple(gate.angle)})"}
-    if kind is GateKind.R1DG:
-        return {q: f"R1†({format_pi_multiple(gate.angle)})"}
-    return {q: {GateKind.H: "H", GateKind.S: "S", GateKind.SDG: "S†",
-                GateKind.X: "X"}[kind]}
+_SYMBOLS = {GateKind.H: "H", GateKind.S: "S", GateKind.SDG: "S†", GateKind.X: "X",
+            GateKind.R1: "R1", GateKind.R1DG: "R1†"}
 
 
-def _centered(text: str, width: int, wire: str) -> str:
-    pad = width - len(text)
-    return wire * (pad // 2) + text + wire * (pad - pad // 2)
-
-
-class _DiagramBuilder:
-    """Accumulates diagram columns with as-soon-as-possible placement."""
-
-    def __init__(self, qubit_count: int) -> None:
-        self.qubit_count = qubit_count
-        # Per column: cell text by row, vertical connector runs as
-        # (first row, last row, char), and the rows carrying a classical
-        # (double) wire.
-        self.cells: list[dict[int, str]] = []
-        self.links: list[list[tuple[int, int, str]]] = []
-        self.classical: list[list[int]] = []
-        self.occupied = [-1] * qubit_count
-
-    def _place(self, lo: int, hi: int, cells: dict[int, str], link: str | None) -> int:
-        """Put ``cells`` in the first column free on rows ``lo..hi``."""
-        column = 1 + max(self.occupied[lo : hi + 1])
-        self.occupied[lo : hi + 1] = [column] * (hi + 1 - lo)
-        if column == len(self.cells):
-            self.cells.append({})
-            self.links.append([])
-            self.classical.append([])
-        self.cells[column].update(cells)
-        if link is not None and hi - lo > 1:
-            self.links[column].append((lo + 1, hi - 1, link))
-        return column
-
-    def add_gate(self, gate: Gate, conditioned_on: int | None = None) -> int:
-        cells = _gate_cells(gate)
-        link = "│"
-        if conditioned_on is not None and conditioned_on not in cells:
-            cells[conditioned_on] = "●"
-            link = "║"
-        return self._place(min(cells), max(cells), cells, link)
-
-    def add_block(self, block: ConditionedBlock) -> None:
-        q = block.measured_qubit
-        start = end = self._place(q, q, {q: "M"}, None)
-        for gate in block.body.elements:
-            end = self.add_gate(gate, conditioned_on=q)
-        for column in range(start + 1, end + 1):
-            self.classical[column].append(q)
-
-    def columns(self) -> list[list[str]]:
-        """Every column as one equal-width text segment per row."""
-        out = []
-        for cells, links, classical in zip(self.cells, self.links, self.classical):
-            width = max(map(len, cells.values())) + 2
-            column = ["─" * width] * self.qubit_count
-            for lo, hi, char in links:
-                column[lo : hi + 1] = [_centered(char, width, "─")] * (hi + 1 - lo)
-            # A run can pass a cell of its own gate, such as a junction;
-            # the cell is drawn over it.
-            for q, text in cells.items():
-                column[q] = _centered(text, width, "─")
-            # Within a block only the block's own gates reach the measured
-            # row, and each puts a cell there, so no link crosses it.
-            for q in classical:
-                column[q] = _centered(cells.get(q, ""), width, "═")
-            out.append(column)
-        return out
+def _gate_cells(gate: Gate) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The rows and the texts of a gate's cells."""
+    if gate.kind is GateKind.CNOT:
+        return gate.qubits, ("●", "⊕")
+    angle = "" if gate.angle is None else f"({format_pi_multiple(gate.angle)})"
+    return gate.qubits, (_SYMBOLS[gate.kind] + angle,)
 
 
 def diagram_bytes_floor(c: Circuit) -> int:
@@ -124,9 +56,8 @@ def diagram_bytes_floor(c: Circuit) -> int:
     cover = [0] * (c.qubit_count + 1)
 
     def add(lo: int, hi: int, gate: Gate | None, repeats: int) -> None:
-        # A CNOT's cells, and a measurement's, are one character wide.
-        width = 1 if gate is None or gate.kind is GateKind.CNOT else max(
-            map(len, _gate_cells(gate).values()))
+        # A measurement's cell is one character wide.
+        width = 1 if gate is None else max(map(len, _gate_cells(gate)[1]))
         cover[lo] += (width + 6) * repeats
         cover[hi + 1] -= (width + 6) * repeats
 
@@ -144,6 +75,13 @@ def diagram_bytes_floor(c: Circuit) -> int:
     return c.qubit_count * max(accumulate(cover))
 
 
+def _runs(starts: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
+    """The ranges ``starts[i] + step * arange(counts[i])``, concatenated."""
+    out = (starts - step * (counts.cumsum() - counts)).repeat(counts)
+    out += np.arange(0, step * len(out), step)
+    return out
+
+
 def to_text_diagram(c: Circuit, max_columns: int | None = None) -> str:
     """Render one labeled row per qubit with gates in ASAP columns.
 
@@ -153,36 +91,98 @@ def to_text_diagram(c: Circuit, max_columns: int | None = None) -> str:
     ``max_columns`` is given, wider diagrams wrap into stacked sections
     with ``…`` continuation markers.
     """
-    builder = _DiagramBuilder(c.qubit_count)
-    for el in c.elements:
+    rows = c.qubit_count
+    # Each distinct shape (a gate, a measurement, or a gate hanging off a
+    # measured row) once: its row span; in ``table`` its connector's first
+    # row, length and character, the row it hangs off (or -1), and its cells'
+    # rows and text lengths; in ``texts`` the texts.  Cells are padded to three.
+    spans, table, texts, known = [], [], [], {}
+
+    def shape(cell_rows: tuple[int, ...], cell_texts: tuple[str, ...], link: str = "│",
+              on: int = -1) -> int:
+        lo, hi = min(cell_rows), max(cell_rows)
+        spans.append((lo, hi + 1))
+        pad = (0,) * (3 - len(cell_rows))
+        table.extend((lo + 1, max(hi - lo - 1, 0), ord(link), on, *cell_rows, *pad,
+                      *map(len, cell_texts), *pad))
+        texts.extend(cell_texts)
+        return len(spans) - 1
+
+    def hanging(gate: Gate, q: int) -> int:
+        if (id(gate), q) not in known:
+            cell_rows, cell_texts = _gate_cells(gate)
+            known[id(gate), q] = (shape(cell_rows, cell_texts, on=q) if q in cell_rows
+                                  else shape((*cell_rows, q), (*cell_texts, "●"), "║", q))
+        return known[id(gate), q]
+
+    # Elements are shared, so each is described once, as the shapes it places.
+    for key, el in dict(zip(map(id, c.elements), c.elements)).items():
         if isinstance(el, ConditionedBlock):
-            builder.add_block(el)
+            q = el.measured_qubit
+            known[key] = (shape((q,), ("M",)), *[hanging(g, q) for g in el.body.elements])
         else:
-            builder.add_gate(el)
+            known[key] = (shape(*_gate_cells(el)),)
+    placed = list(chain.from_iterable(map(known.__getitem__, map(id, c.elements))))
+    # Placement: each shape takes the first column free on its row span.
+    occupied, columns = [-1] * rows, []
+    for lo, hi in map(spans.__getitem__, placed):
+        column = 1 + max(occupied[lo:hi])
+        occupied[lo:hi] = [column] * (hi - lo)
+        columns.append(column)
 
-    labels = []
-    for q in range(c.qubit_count):
-        role = c.roles[q] if c.roles is not None else "q"
-        name = {"target": "y", "aux": "0"}.get(role, role)
-        labels.append(f"{name}_{q}:")
-    width = max(map(len, labels), default=0)
-    labels = [label.ljust(width + 1) for label in labels]
+    # Painting: every column is as wide as its widest cell plus two.
+    col = np.array(columns, np.intp)
+    k = np.array(placed, np.intp)
+    shapes = np.array(table, np.intp).reshape(-1, 10)
+    text_at = (shapes[:, 7:].cumsum().reshape(-1, 3) - shapes[:, 7:])[k]
+    link_lo, link_n, link_char, on = (placement := shapes[k])[:, :4].T
+    cell_row, cell_len = placement[:, 4:7], placement[:, 7:]
+    width = np.full(1 + max(columns, default=0), 2, np.intp)
+    np.maximum.at(width, col, cell_len.max(1) + 2)
+    xs = np.concatenate(([0], width.cumsum()))
+    stride = int(xs[-1])
+    labels = [f"{ {'target': 'y', 'aux': '0'}.get(role, role)}_{q}:"
+              for q, role in enumerate(c.roles or ("q",) * rows)]
+    label_width = max(map(len, labels), default=0) + 1
+    label_text = "".join(label.ljust(label_width) for label in labels)
+    wide = max(label_text, default="") >= "\U00010000"  # a label outside the BMP
+    dtype, codec = (np.uint32, "utf-32-le") if wide else (np.uint16, "utf-16-le")
+    grid = np.full(rows * stride, ord("─"), dtype)
+    # A text of length m starts at x + (width - m) // 2 = (anchor - m) // 2.
+    anchor = 2 * xs[col] + width[col]
+    grid[_runs(link_lo * stride + ((anchor - 1) >> 1), link_n, stride)] = link_char.repeat(link_n)
+    # A gate hanging off a row draws its double line from the column after
+    # the previous shape of its block (or the measurement) to its own.
+    hang = np.flatnonzero(on >= 0)
+    if len(hang):
+        x0, x1 = xs[col[hang - 1] + 1], xs[col[hang] + 1]
+        grid[_runs(on[hang] * stride + x0, x1 - x0)] = ord("═")
+    # Then the cells, over any double line: a cell's text moves by ``shift``.
+    shift = (cell_row * stride + ((anchor[:, None] - cell_len) >> 1) - text_at).ravel()
+    at = _runs(text_at.ravel(), cell_len := cell_len.ravel())
+    grid[at + shift.repeat(cell_len)] = np.frombuffer("".join(texts).encode(codec), dtype)[at]
+    del placement, link_lo, link_n, link_char, on, cell_row, cell_len, text_at, anchor, shift, at
 
-    columns = builder.columns()
-    if not columns:
-        return "\n".join(f"{label}──" for label in labels)
-
-    step = max_columns if max_columns is not None and max_columns > 0 else len(columns)
-    chunks = [columns[i : i + step] for i in range(0, len(columns), step)]
-    sections = []
-    for ci, chunk in enumerate(chunks):
-        head = "…" if ci > 0 else ""
-        tail = "…" if ci + 1 < len(chunks) else ""
-        sections.append("\n".join(
-            label + head + "".join(row) + tail
-            for label, row in zip(labels, zip(*chunk))
-        ))
-    return "\n\n".join(sections)
+    # The output: per section of at most ``max_columns`` columns, a line per
+    # row (label, ``…`` where it continues, gates), and a blank line between.
+    step = max_columns if max_columns is not None and max_columns > 0 else len(width)
+    cuts = xs[list(range(0, len(width), step)) + [len(width)]].tolist()
+    last = len(cuts) - 2
+    out = np.full(rows * ((last + 1) * (label_width + 1) + 2 * last + stride) + last,
+                  ord("\n"), dtype)
+    label_codes = np.frombuffer(label_text.encode(codec), dtype).reshape(rows, label_width)
+    pos = 0
+    for s, (x0, x1) in enumerate(zip(cuts, cuts[1:])):
+        head = label_width + (s > 0)
+        tail = head + x1 - x0
+        length = tail + (s < last) + 1
+        section = out[pos : pos + rows * length].reshape(rows, length)
+        section[:, :label_width] = label_codes
+        section[:, label_width:head] = section[:, tail:-1] = ord("…")
+        section[:, head:tail] = grid.reshape(rows, stride)[:, x0:x1]
+        pos += rows * length + 1
+    del grid
+    return str(memoryview(out[:-1]), codec)
 
 
 def to_qasm(c: Circuit) -> str:

@@ -113,6 +113,13 @@ def test_parse_out_of_range_variable():
     ("", "expected a variable, constant, or '(', got ''", 0),
     ("~", "expected a variable, constant, or '(', got ''", 1),
     ("x1 $", "unexpected character '$'", 3),
+    # decimal fields too long for int() are range errors, still after syntax
+    pytest.param("x" + "9" * 5000, "variable count of over 100 digits out of range [1, 16]",
+                 None, id="5000-digit-subscript"),
+    pytest.param("0x1:" + "9" * 5000, "variable count of over 100 digits out of range [1, 16]",
+                 None, id="5000-digit-hex-count"),
+    pytest.param("x1 & & x" + "9" * 5000, "expected a variable, constant, or '(', got '&'", 5,
+                 id="syntax-error-before-5000-digit-subscript"),
 ])
 def test_parse_error_messages_and_positions(text, message, position):
     with pytest.raises(ParseError) as exc:
@@ -120,6 +127,11 @@ def test_parse_error_messages_and_positions(text, message, position):
     assert exc.value.position == position
     suffix = "" if position is None else f" (at position {position})"
     assert str(exc.value) == message + suffix
+
+
+def test_parse_leading_zeros_are_not_significant_digits():
+    assert parse_function("x" + "0" * 5000 + "1") == parse_function("x1")
+    assert parse_function("0x1:" + "0" * 5000 + "1") == parse_function("0x1:1")
 
 
 def test_parse_expression_at_16_variables():

@@ -84,6 +84,14 @@ def test_synth_malformed_expression_exits_2(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("text", ["x" + "9" * 5000, "0x1:" + "9" * 5000],
+                         ids=["subscript", "hex-count"])
+def test_stats_5000_digit_variable_count_exits_2(capsys, text):
+    code, out, err = run(capsys, "stats", "--func", text, "--construction", "general-lowwidth")
+    assert (code, out) == (2, "")
+    assert "out of range" in err
+
+
 def test_synth_rejects_unknown_construction(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--func", "x1", "--construction", "nope"])

@@ -1,7 +1,11 @@
 """Text-diagram and assembly serialization."""
 
 import re
+import sys
+import tracemalloc
 from fractions import Fraction
+
+import numpy as np
 
 from fcnot.boolfn import TruthTable
 from fcnot.circuit import Circuit, ConditionedBlock, cnot, h, r1, r1dg, x
@@ -76,6 +80,23 @@ def test_diagram_wraps_at_column_cap():
 def test_diagram_is_deterministic():
     circuit = synthesize(AND2, ConstructionKind.GENERAL_DEPTH1).circuit
     assert to_text_diagram(circuit) == to_text_diagram(circuit)
+
+
+def test_diagram_peak_memory_is_under_three_times_the_text():
+    """Traced, drawing a 255-row general-depth1 diagram allocates at most
+    three times the size of the returned string at any one time."""
+    bits = np.random.default_rng([20209, 7]).integers(0, 2, size=1 << 7)
+    f = TruthTable(7, tuple(int(b) for b in bits))
+    circuit = synthesize(f, ConstructionKind.GENERAL_DEPTH1).circuit
+    assert circuit.qubit_count == 255
+    to_text_diagram(circuit)  # the first call's one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        text = to_text_diagram(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sys.getsizeof(text)
 
 
 # ---------------------------------------------------------------------------
