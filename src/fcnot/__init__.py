@@ -16,7 +16,6 @@ from .boolfn import (
     TruthTable,
     angles,
     gray_code,
-    lifted_spectrum,
     mu,
     parse_function,
     pm_one_vector,
@@ -50,9 +49,7 @@ from .sim import (
     StateVector,
     VerificationReport,
     apply,
-    diagonal_decomposition_check,
     oracle,
-    state_equal_up_to_phase,
     verify,
 )
 from .synth import (

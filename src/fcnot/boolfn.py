@@ -15,6 +15,7 @@ Clifford-angle detection and adjoint cancellation are exact.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,23 +183,6 @@ def angles(sd: SpectralData) -> AngleTable:
     return AngleTable(n=sd.n, angles=tuple(map(distinct.__getitem__, coefficients)))
 
 
-def lifted_spectrum(sd: SpectralData) -> np.ndarray:
-    """Spectral coefficients of ``g = x_{n+1} and f`` from those of ``f``.
-
-    For ``0 <= k < 2**(n+1)``::
-
-        s'_k = 2**n * [k mod 2**n == 0] + (-1)**[k >= 2**n] * s_{k mod 2**n}
-
-    which equals the direct transform of the +-1 coding of ``g`` (all-ones
-    upper half, ``pm_one_vector(f)`` lower half).
-    """
-    s = sd.coefficients
-    lifted = np.concatenate([s, -s])
-    lifted[0] += 1 << sd.n
-    lifted[1 << sd.n] += 1 << sd.n
-    return lifted
-
-
 # ---------------------------------------------------------------------------
 # Gray codes
 
@@ -320,6 +304,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+#: The binary operators from the loosest binding to the tightest, each with
+#: the level of its operands in this table (None: unary expressions).
+_BINARY = (("|", operator.or_, 1), ("^", operator.xor, 2), ("&", operator.and_, None))
+
+
 class _ExpressionParser:
     """Recursive-descent parser that evaluates as it parses: each method
     returns the packed truth table (bit k = value at assignment k) of the
@@ -346,31 +335,19 @@ class _ExpressionParser:
         return tok
 
     def parse(self) -> int:
-        value = self.parse_or()
+        value = self.parse_binary()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {text!r}", pos)
         return value
 
-    def parse_or(self) -> int:
-        value = self.parse_xor()
-        while self.peek()[0] == "|":
+    def parse_binary(self, level: int = 0) -> int:
+        """A left-associative chain of the ``level``-th operator of ``_BINARY``."""
+        symbol, combine, operand = _BINARY[level]
+        value = self.parse_binary(operand) if operand else self.parse_unary()
+        while self.peek()[0] == symbol:
             self.advance()
-            value |= self.parse_xor()
-        return value
-
-    def parse_xor(self) -> int:
-        value = self.parse_and()
-        while self.peek()[0] == "^":
-            self.advance()
-            value ^= self.parse_and()
-        return value
-
-    def parse_and(self) -> int:
-        value = self.parse_unary()
-        while self.peek()[0] == "&":
-            self.advance()
-            value &= self.parse_unary()
+            value = combine(value, self.parse_binary(operand) if operand else self.parse_unary())
         return value
 
     def parse_unary(self) -> int:
@@ -390,7 +367,7 @@ class _ExpressionParser:
         if kind == "const":
             return self.ones if text == "1" else 0
         if kind == "(":
-            value = self.parse_or()
+            value = self.parse_binary()
             kind, text, pos = self.advance()
             if kind != ")":
                 raise ParseError("expected ')'", pos)

@@ -120,7 +120,7 @@ class ConditionedBlock:
 
 CircuitElement = Union[Gate, ConditionedBlock]
 
-_ROLE_RE = re.compile(r"^(target|aux|x\d+)$")
+_ROLE_RE = re.compile(r"target|aux|x[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class Circuit:
             if len(self.roles) != self.qubit_count:
                 raise ValueError("one role per qubit required")
             for role in dict.fromkeys(self.roles):
-                if not _ROLE_RE.match(role):
+                if not _ROLE_RE.fullmatch(role):
                     raise ValueError(f"invalid role {role!r}")
 
 

@@ -117,6 +117,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         print("error: exhaustive sweeps are limited to n <= 3; pass --sample",
               file=sys.stderr)
         return EXIT_PARSE
+    if args.sample is not None and args.seed < 0:
+        print(f"error: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        return EXIT_PARSE
 
     if args.sample is None:
         tables = (boolfn.TruthTable.from_value(n, v) for v in range(1 << (1 << n)))
@@ -132,14 +135,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     )
     for f in tables:
         result = synth.synthesize(f, args.construction)
-        metrics = result.metrics()
         report = sim.verify(result, f)
-        writer.writerow(
-            [f.hex_form(), metrics["qubits"], metrics["ancillas"],
-             metrics["cnot"], metrics["r1_total"], metrics["r1_non_clifford"],
-             metrics["rotation_depth"], metrics["measurements"],
-             report.verdict]
-        )
+        # metrics() lists its values in the header's order
+        writer.writerow([f.hex_form(), *result.metrics().values(), report.verdict])
     return EXIT_OK
 
 

@@ -145,8 +145,8 @@ def to_text_diagram(c: Circuit, max_columns: int | None = None) -> str:
               for q, role in enumerate(c.roles or ("q",) * rows)]
     label_width = max(map(len, labels), default=0) + 1
     label_text = "".join(label.ljust(label_width) for label in labels)
-    wide = max(label_text, default="") >= "\U00010000"  # a label outside the BMP
-    dtype, codec = (np.uint32, "utf-32-le") if wide else (np.uint16, "utf-16-le")
+    # Roles are ASCII, so every character drawn is one UTF-16 code unit.
+    dtype, codec = np.uint16, "utf-16-le"
     grid = np.full(rows * stride, ord("─"), dtype)
     # A text of length m starts at x + (width - m) // 2 = (anchor - m) // 2.
     anchor = 2 * xs[col] + width[col]

@@ -19,18 +19,18 @@ runs of CNOT, X, S, Sdg and R1 gates; each run is an affine map on the
 wires plus a phase polynomial, applied to all rows in one step, with the
 phases evaluated parity by parity or by one integer Walsh-Hadamard
 transform, whichever the run's own counts make cheaper.  Rows hold only
-the wires that can be nonzero between steps, at most n + 1 for emitted
-circuits, so every construction verifies up to n = 16 (general-depth1 at
-n = 16, 131071 qubits, in about 0.7 s).  There is no qubit cap; circuits
-whose plan work exceeds ``WORK_BOUND`` row updates are reported
-UNVERIFIABLE before any row work starts.  No random state is drawn and no
-tolerance applies; ``seed`` is only echoed in the report.
+the wires that can be nonzero between steps: n + 1 for emitted circuits,
+one 64-bit word, so every construction verifies up to n = 16
+(general-depth1 at n = 16, 131071 qubits, in about 0.7 s).  There is no
+qubit cap; circuits whose plan work exceeds ``WORK_BOUND`` row updates are
+reported UNVERIFIABLE before any row work starts.  No random state is drawn
+and no tolerance applies; ``seed`` is only echoed in the report.
 
 ``apply`` runs Clifford+R1 gates on dense statevectors.  A
 measurement-conditioned block splits the state into the two Z-basis
 projections of the measured qubit; the block body runs only in the
-outcome-1 branch and simulation continues independently per branch.  It
-is the reference that the tests check ``verify`` against.
+outcome-1 branch and simulation continues independently per branch.  The
+tests check ``verify`` and the paper's diagonal decomposition against it.
 
 Amplitude index convention: qubit q is bit q of the index.
 """
@@ -46,7 +46,7 @@ from functools import reduce
 
 import numpy as np
 
-from .boolfn import TruthTable, lifted_spectrum, pm_one_vector, spectrum, walsh_hadamard
+from .boolfn import TruthTable, walsh_hadamard
 from .circuit import Circuit, ConditionedBlock, Gate, GateKind
 from .synth import SynthesisResult, TargetContract
 
@@ -81,12 +81,6 @@ class StateVector:
         amps = np.zeros(1 << qubit_count, dtype=complex)
         amps[index] = 1.0
         return cls(qubit_count, amps)
-
-    @classmethod
-    def from_amplitudes(cls, amps) -> "StateVector":
-        a = np.asarray(amps, dtype=complex)
-        m = int(a.size - 1).bit_length()
-        return cls(m, a / np.linalg.norm(a))
 
 
 @dataclass(frozen=True)
@@ -206,11 +200,6 @@ def apply(c: Circuit, state: StateVector) -> BranchedState:
     )
 
 
-def state_equal_up_to_phase(a: StateVector, b: StateVector, tol: float) -> bool:
-    """True iff the overlap magnitude ``|<a|b>|`` is at least ``1 - tol``."""
-    return abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol
-
-
 # ---------------------------------------------------------------------------
 # Reference oracle
 
@@ -320,10 +309,6 @@ class _Terms:
         """The complex value of each term at ``rows``."""
         phases = np.exp(1j * math.pi * self.e[rows] / (1 << k))
         return self.coef[rows] * phases / math.sqrt(2.0) ** self.h[rows]
-
-    def amplitude(self, rows, k: int) -> complex:
-        """The complex sum of the terms at ``rows``."""
-        return complex(np.sum(self.terms(rows, k)))
 
 
 _H, _X, _CNOT = GateKind.H, GateKind.X, GateKind.CNOT
@@ -807,7 +792,7 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
             return report("PASS", basis=inputs, aux_ok=aux_ok,
                           branches=len(outcomes), support=peak, updates=work)
         b, i = found
-        a0, a1 = (t.amplitude((t.branch == b) & (t.inp == j), k) for j in (0, i))
+        a0, a1 = (complex(np.sum(t.terms((t.branch == b) & (t.inp == j), k))) for j in (0, i))
         fidelity = abs(a0 + a1) / math.sqrt(2.0 * (abs(a0) ** 2 + abs(a1) ** 2))
         infidelity = 1.0 - fidelity
         what = f"({label(0)} + {label(i)})/sqrt2"
@@ -822,46 +807,3 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
         updates=work,
     )
 
-
-# ---------------------------------------------------------------------------
-# Diagonal-decomposition identity
-
-
-def diagonal_decomposition_check(f: TruthTable) -> bool:
-    """Check that conjugating ``D = diag(pm coding of x_{n+1} and f)`` by
-    Hadamards on the target reproduces the oracle permutation exactly, and
-    that the lifted spectral coefficients reproduce D's phases (up to one
-    global phase) through the phase-polynomial form.
-    """
-    n = f.n
-    if n > 6:
-        raise ValueError("check is limited to n <= 6")
-    m = n + 1
-    dim = 1 << m
-    ghat = np.concatenate(
-        [np.ones(1 << n), pm_one_vector(f).astype(float)]
-    ).astype(complex)
-    # the arbitrary contract's inputs are 0 .. dim - 1 in order
-    _, image = oracle(f, TargetContract.ARBITRARY)
-
-    for k in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[k] = 1.0
-        _apply_gate(amps, Gate(GateKind.H, (n,)), m)
-        amps *= ghat
-        _apply_gate(amps, Gate(GateKind.H, (n,)), m)
-        if abs(amps[image[k]] - 1.0) > 1e-9:
-            return False
-
-    # Phase-polynomial cross-check: the diagonal rebuilt from the lifted
-    # coefficients must match ghat up to a single global phase.
-    lifted = lifted_spectrum(spectrum(f))
-    scale = math.pi / (1 << (n + 1))
-    rebuilt = np.empty(dim, dtype=complex)
-    for j in range(dim):
-        total = sum(
-            int(lifted[k]) for k in range(1, dim) if (k & j).bit_count() & 1
-        )
-        rebuilt[j] = cmath.exp(1j * scale * total)
-    rebuilt *= ghat[0] / rebuilt[0]
-    return bool(np.allclose(rebuilt, ghat, atol=1e-9, rtol=0.0))

@@ -120,7 +120,11 @@ class SynthesisResult:
     kind: ConstructionKind
     circuit: Circuit
     layout: Layout
-    ancilla_count: int
+
+    @property
+    def ancilla_count(self) -> int:
+        """The auxiliary qubits of the layout, which start and end in |0>."""
+        return len(self.layout.aux)
 
     def metrics(self) -> dict[str, int]:
         counts = resource_counts(self.circuit)
@@ -164,7 +168,7 @@ def _synthesize(sd: SpectralData, kind: ConstructionKind) -> SynthesisResult:
         body += (h(t), s(t)) if contract is TargetContract.ZERO else (h(t),)
         elements = tuple(body)
     circuit = Circuit(qubits, elements, layout.roles(qubits))
-    return SynthesisResult(kind, circuit, layout, len(layout.aux))
+    return SynthesisResult(kind, circuit, layout)
 
 
 # ---------------------------------------------------------------------------

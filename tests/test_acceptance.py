@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from fcnot.boolfn import SpectralData, TruthTable, lifted_spectrum, spectrum
+from fcnot.boolfn import SpectralData, TruthTable, spectrum
 from fcnot.circuit import compose, resource_counts, rotation_depth
-from fcnot.sim import StateVector, apply, diagonal_decomposition_check, verify
+from fcnot.sim import StateVector, apply, verify
 from fcnot.synth import ConstructionKind, _synthesize, synthesize
+from paper_identities import diagonal_decomposition_check, lifted_oracle, lifted_spectrum
 
 FIDELITY_TOL = 1e-9
 SEED = 20260810
@@ -122,31 +123,15 @@ def test_criterion_4_rotation_depth_one():
                 assert rotation_depth(synthesize(f, kind).circuit) <= 1
 
 
-def _lifted_oracle(f: TruthTable) -> list[int]:
-    """Independent route: evaluate the conjunction with a fresh top variable
-    directly, +-1 code it, and apply the dense transform matrix."""
-    n = f.n
-    size = 1 << (n + 1)
-    ghat = np.array(
-        [1 - 2 * ((k >> n) & f.bits[k & ((1 << n) - 1)]) for k in range(size)],
-        dtype=np.int64,
-    )
-    matrix = np.array(
-        [[(-1) ** ((j & k).bit_count() & 1) for k in range(size)] for j in range(size)],
-        dtype=np.int64,
-    )
-    return (matrix @ ghat).tolist()
-
-
 @criterion("A5 lifted-spectrum identity (exact integers)")
 def test_criterion_5_lifted_spectrum():
     for n in (1, 2, 3):
         for f in all_functions(n):
-            assert lifted_spectrum(spectrum(f)).tolist() == _lifted_oracle(f)
+            assert lifted_spectrum(spectrum(f)).tolist() == lifted_oracle(f)
     rng = np.random.default_rng(SEED)
     for n in (4, 5, 6):
         for f in random_functions(n, 100, rng):
-            assert lifted_spectrum(spectrum(f)).tolist() == _lifted_oracle(f)
+            assert lifted_spectrum(spectrum(f)).tolist() == lifted_oracle(f)
 
 
 @criterion("A6 diagonal-decomposition identity")

@@ -11,7 +11,6 @@ from fcnot.boolfn import (
     TruthTable,
     angles,
     gray_code,
-    lifted_spectrum,
     mu,
     parse_function,
     pm_one_vector,
@@ -20,6 +19,7 @@ from fcnot.boolfn import (
     trailing_bit,
     walsh_hadamard,
 )
+from paper_identities import lifted_oracle, lifted_spectrum
 
 AND2 = TruthTable.from_value(2, 0b1000)
 
@@ -332,16 +332,6 @@ def test_spectrum_invariants(f):
 
 # ---------------------------------------------------------------------------
 # Lifted spectrum
-
-
-def lifted_oracle(f: TruthTable) -> list[int]:
-    """Independent route: evaluate g = x_{n+1} and f directly, then run the
-    dense transform on its +-1 coding."""
-    g_bits = [
-        (y & f.bits[x]) for y in (0, 1) for x in range(1 << f.n)
-    ]
-    ghat = np.array([1 - 2 * b for b in g_bits], dtype=np.int64)
-    return (hadamard_matrix(f.n + 1) @ ghat).tolist()
 
 
 def test_lifted_spectrum_examples():

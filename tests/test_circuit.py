@@ -79,8 +79,11 @@ def test_circuit_validation():
         Circuit(1, (h(1),))
     with pytest.raises(ValueError):
         Circuit(2, (h(0),), roles=("x1",))
-    with pytest.raises(ValueError):
-        Circuit(2, (h(0),), roles=("x1", "banana"))
+    # a trailing newline would split the diagram row; a non-ASCII digit
+    # would need a code point outside the Basic Multilingual Plane
+    for role in ("banana", "x1\n", "x\U0001d7d9"):
+        with pytest.raises(ValueError):
+            Circuit(2, (h(0),), roles=(role, "aux"))
     with pytest.raises(ValueError):
         Circuit(2, (ConditionedBlock(0, Circuit(3)),))
     inner = Circuit(2, (ConditionedBlock(0, Circuit(2)),))

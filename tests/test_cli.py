@@ -261,6 +261,14 @@ def test_table_rejects_sample_below_one(capsys, sample):
     assert "--sample" in err
 
 
+def test_table_rejects_negative_seed(capsys):
+    code, out, err = run(capsys, "table", "--n", "1",
+                         "--construction", "general-depth1", "--sample", "2", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
 def test_table_deterministic_bytes(capsys):
     args = ("table", "--n", "2", "--construction", "anddg-depth1", "--seed", "5")
     _, first, _ = run(capsys, *args)

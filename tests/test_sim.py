@@ -17,9 +17,7 @@ from fcnot.circuit import Circuit, ConditionedBlock, Gate, cnot, h, r1, r1dg, s,
 from fcnot.sim import (
     StateVector,
     apply,
-    diagonal_decomposition_check,
     oracle,
-    state_equal_up_to_phase,
     verify,
 )
 from fcnot.synth import (
@@ -30,6 +28,7 @@ from fcnot.synth import (
     _synthesize,
     synthesize,
 )
+from paper_identities import diagonal_decomposition_check
 
 AND2 = TruthTable.from_value(2, 0b1000)
 
@@ -124,32 +123,6 @@ def test_branch_probabilities_sum_to_one():
     out = apply(c, StateVector.basis(2, 0))
     assert abs(sum(br.probability for br in out.branches) - 1) < 1e-12
     assert len(out.branches) == 4
-
-
-# ---------------------------------------------------------------------------
-# Phase-insensitive state comparison
-
-
-def test_state_equal_up_to_phase():
-    v = StateVector.from_amplitudes([1, 1j, 0, 0])
-    w = StateVector.from_amplitudes(np.exp(1j * math.pi / 7) * v.amplitudes)
-    assert state_equal_up_to_phase(v, w, 1e-9)
-    assert not state_equal_up_to_phase(
-        StateVector.basis(1, 0), StateVector.basis(1, 1), 1e-9
-    )
-
-
-def test_state_equal_perturbation_threshold():
-    # a relative perturbation epsilon costs about epsilon**2 / 2 in overlap,
-    # so 1e-3 trips a 1e-9 tolerance while 1e-6 does not
-    v = np.zeros(4, dtype=complex)
-    v[0] = 1.0
-    w = v.copy()
-    w[1] = 1e-3
-    a = StateVector.from_amplitudes(v)
-    assert not state_equal_up_to_phase(a, StateVector.from_amplitudes(w), 1e-9)
-    w[1] = 1e-6
-    assert state_equal_up_to_phase(a, StateVector.from_amplitudes(w), 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +235,7 @@ def test_verify_reports_unverifiable_sizes(monkeypatch):
     f = TruthTable.from_value(1, 1)
     layout = Layout(controls=(0,), target=1, aux=tuple(range(2, 42)))
     circuit = Circuit(42, tuple(h(q) for q in layout.aux), layout.roles(42))
-    result = SynthesisResult(ConstructionKind.GENERAL_LOW_WIDTH, circuit, layout, 40)
+    result = SynthesisResult(ConstructionKind.GENERAL_LOW_WIDTH, circuit, layout)
 
     def no_row_work(*args):
         raise AssertionError("row work started")
@@ -284,7 +257,7 @@ def test_verify_fail_report_sums_many_rows_per_input():
     layout = Layout(result.layout.controls, result.layout.target, idle)
     spread = Circuit(19, result.circuit.elements + tuple(h(q) for q in idle),
                      layout.roles(19))
-    report = verify(SynthesisResult(result.kind, spread, layout, len(idle)), f)
+    report = verify(SynthesisResult(result.kind, spread, layout), f)
     assert report.verdict == "FAIL"
     assert report.counterexample == "input basis x=0 y=0, outcomes {}, infidelity 9.972e-01"
     assert math.isclose(report.max_infidelity, 1 - 2 ** -8.5, rel_tol=1e-12)
@@ -313,7 +286,7 @@ def test_verify_counts_row_updates_within_the_bound():
 @pytest.mark.parametrize("kind, n", [
     (ConstructionKind.GENERAL_DEPTH1, 4),
     (ConstructionKind.GENERAL_DEPTH1, 5),
-    (ConstructionKind.GENERAL_DEPTH1, 6),  # 127 qubits: two index words
+    (ConstructionKind.GENERAL_DEPTH1, 6),  # 127 qubits, 7 slots: one index word
     (ConstructionKind.AND_DEPTH1, 5),
 ])
 def test_verify_passes_beyond_the_old_qubit_cap(kind, n):
@@ -482,7 +455,7 @@ def test_verify_basis_fail_infidelity_matches_dense_simulation():
             for spread in ((), tuple(h(q) for q in idle[:2])):
                 circuit = Circuit(base + 3, mutant.circuit.elements + spread,
                                   layout.roles(base + 3))
-                report = verify(SynthesisResult(kind, circuit, layout, len(layout.aux)), f)
+                report = verify(SynthesisResult(kind, circuit, layout), f)
                 found = re.match(r"input basis x=(\d+) y=(\d)", report.counterexample or "")
                 if not found:
                     continue
@@ -590,7 +563,7 @@ def path_sum_branches(c: Circuit, start, index: int) -> dict:
         full = sum(int(t.bit(slot)[r]) << q for q, slot in plan.slot.items())
         key = tuple(sorted(outcomes[t.branch[r]].items()))
         out.setdefault(key, np.zeros(1 << c.qubit_count, dtype=complex))[full] += (
-            t.amplitude([r], k))
+            t.terms([r], k)[0])
     return out
 
 
@@ -624,7 +597,7 @@ def test_verify_with_more_than_64_live_wires():
     elements = result.circuit.elements
     wide = Circuit(70, flips + elements[:1] + flips + elements[1:-1] + flips + elements[-1:]
                    + flips, layout.roles(70))
-    wide_result = SynthesisResult(result.kind, wide, layout, len(aux))
+    wide_result = SynthesisResult(result.kind, wide, layout)
     assert verify(wide_result, AND2).verdict == "PASS"
     for wide_mutant, mutant in zip(negated_rotations(wide_result), negated_rotations(result)):
         assert verify(wide_mutant, AND2).verdict == verify(mutant, AND2).verdict
@@ -654,7 +627,7 @@ def test_verify_counts_each_word_of_wide_rows(monkeypatch, wires, hadamards, ver
         monkeypatch.setattr(sim, "_simulate", no_row_work)
     tracemalloc.start()
     try:
-        report = verify(SynthesisResult(result.kind, wide, layout, len(layout.aux)), f)
+        report = verify(SynthesisResult(result.kind, wide, layout), f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -664,13 +637,23 @@ def test_verify_counts_each_word_of_wide_rows(monkeypatch, wires, hadamards, ver
 
 
 @pytest.mark.parametrize("kind", list(ConstructionKind))
-def test_verify_every_construction_at_n16(kind):
+def test_verify_every_construction_at_n16(kind, monkeypatch):
+    plans = []
+
+    class RecordedPlan(sim._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(sim, "_Plan", RecordedPlan)
     rng = np.random.default_rng(16)
     f = TruthTable(16, tuple(rng.integers(0, 2, size=1 << 16).tolist()))
     result = synthesize(f, kind)
     report = verify(result, f)
     assert report.verdict == "PASS", report.counterexample
     assert report.row_updates <= sim.WORK_BOUND
+    # an emitted circuit plans n + 1 slots, so every row is one 64-bit word
+    assert (len(plans[0].slot), plans[0].words) == (17, 1)
     if kind in (ConstructionKind.GENERAL_LOW_WIDTH, ConstructionKind.AND_DEPTH1):
         mutant = next(negated_rotations(result))
         assert verify(mutant, f).verdict == "FAIL"
