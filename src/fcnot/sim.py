@@ -4,27 +4,29 @@ reference simulator.
 ``verify`` compares every synthesized circuit with the reference permutation
 ``|x>|y> -> |x>|y xor f(x)>`` by an exact sum over paths (Amy,
 arXiv:1805.06908): all legal basis inputs run through the circuit at once
-as integer rows ``coef * w**e / sqrt(2)**h`` on basis indices, with ``w`` a
-power-of-two root of unity.  The rows are kept in a canonical form, so
-amplitudes compare with no float tolerance.  Per measurement branch the
-circuit is linear: if every input lands on its oracle image with one
-common amplitude, every superposition of legal inputs does too, so no
-random states are needed.  ``oracle`` gives the legal inputs and their
-images as arrays, computed from the truth table alone, so the ground
-truth stays independent of synthesis.
+as integer rows ``coef * w**e / sqrt(2)**h`` on basis indices, with ``w =
+exp(i pi / 2**62)`` for every circuit.  The rows are kept in a canonical
+form, so amplitudes compare with no float tolerance.  Per measurement
+branch the circuit is linear: if every input lands on its oracle image
+with one common amplitude, every superposition of legal inputs does too,
+so no random states are needed.  ``oracle`` gives the legal inputs and
+their images as arrays, computed from the truth table alone, so the
+ground truth stays independent of synthesis.
 
-The circuit runs as a segment plan, built by one static pass before any
-row work.  Hadamards and measurement-conditioned blocks split it into
-runs of CNOT, X, S, Sdg and R1 gates; each run is an affine map on the
-wires plus a phase polynomial, applied to all rows in one step, with the
-phases evaluated parity by parity or by one integer Walsh-Hadamard
-transform, whichever the run's own counts make cheaper.  Rows hold only
-the wires that can be nonzero between steps: n + 1 for emitted circuits,
-one 64-bit word, so every construction verifies up to n = 16
-(general-depth1 at n = 16, 131071 qubits, in about 0.7 s).  There is no
-qubit cap; circuits whose plan work exceeds ``WORK_BOUND`` row updates are
-reported UNVERIFIABLE before any row work starts.  No random state is drawn
-and no tolerance applies; ``seed`` is only echoed in the report.
+The circuit runs as a segment plan, built by the only pass over the
+circuit's elements, before any row work.  Hadamards and
+measurement-conditioned blocks split it into runs of CNOT, X, S, Sdg and
+R1 gates; each run is an affine map on the wires plus a phase polynomial,
+applied to all rows in one step, with the phases evaluated parity by
+parity or by one integer Walsh-Hadamard transform, whichever the run's own
+counts make cheaper.  Rows hold only the wires that can be nonzero between
+steps: n + 1 for emitted circuits, one 64-bit word, so every construction
+verifies up to n = 16 (general-depth1 at n = 16, 131071 qubits, in about
+0.2 s on a 2-vCPU Xeon VM; the other constructions in 0.05 to 0.17 s).
+There is no qubit cap; circuits whose plan work exceeds ``WORK_BOUND`` row
+updates, or with a rotation finer than ``pi / 2**62``, are reported
+UNVERIFIABLE before any row work starts.  No random state is drawn and no
+tolerance applies; ``seed`` is only echoed in the report.
 
 ``apply`` runs Clifford+R1 gates on dense statevectors.  A
 measurement-conditioned block splits the state into the two Z-basis
@@ -42,7 +44,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -240,7 +242,7 @@ def oracle(f: TruthTable, contract: TargetContract) -> tuple[np.ndarray, np.ndar
 WORK_BOUND = 1 << 23
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VerificationReport:
     """Outcome of checking one synthesized circuit against the oracle.
 
@@ -253,15 +255,15 @@ class VerificationReport:
 
     construction: str
     function: str
-    basis_inputs: int
+    basis_inputs: int = 0
     seed: int
-    max_infidelity: float
-    aux_restored: bool
+    max_infidelity: float = 0.0
+    aux_restored: bool = True
     verdict: str
-    counterexample: str | None
-    max_branches: int
-    peak_support: int
-    row_updates: int
+    counterexample: str | None = None
+    max_branches: int = 0
+    peak_support: int = 0
+    row_updates: int = 0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -276,16 +278,17 @@ class _Terms:
 
     Row r is the term ``coef * w**e / sqrt(2)**h`` on basis index ``idx[r]``
     for input number ``inp[r]`` in measurement branch ``branch[r]``, where
-    ``w = exp(i pi / 2**k)``.  Rows hold only the plan's slots, the wires
-    that can be nonzero at some step boundary; every other wire is |0>
-    there.  Slot s is bit ``s % 64`` of the uint64 word ``idx[r, s // 64]``.
-    Phases add to the uint64 ``e``, which only has to be right modulo the
-    period ``2**(k + 1)`` of ``w`` (``k <= 62``, so the period divides
-    ``2**63``).  Since ``w**(2**k) = -1``, the powers ``w**0 .. w**(2**k -
-    1)`` are an integer basis of the amplitudes: before each merge and at
-    the end, ``e`` is reduced into ``[0, 2**k)`` and one row kept per
-    (branch, inp, idx, e) with a nonzero coefficient, which makes the form
-    canonical, so amplitudes compare exactly.
+    ``w = exp(i pi / 2**62)`` for every circuit: each angle verify() takes
+    on is a multiple of ``pi / 2**62``.  Rows hold only the plan's slots,
+    the wires that can be nonzero at some step boundary; every other wire
+    is |0> there.  Slot s is bit ``s % 64`` of the uint64 word ``idx[r, s
+    // 64]``.  Phases add to the uint64 ``e``, which only has to be right
+    modulo the period ``2**63`` of ``w``.  Since ``w**(2**62) = -1``, the
+    powers ``w**0 .. w**(2**62 - 1)`` are an integer basis of the
+    amplitudes: before each merge and at the end, ``e`` is reduced into
+    ``[0, 2**62)`` and one row kept per (branch, inp, idx, e) with a
+    nonzero coefficient, which makes the form canonical, so amplitudes
+    compare exactly.
     """
 
     branch: np.ndarray
@@ -305,58 +308,52 @@ class _Terms:
     def bit(self, s: int) -> np.ndarray:
         return (self.idx[:, s >> 6] >> (s & 63)) & 1
 
-    def terms(self, rows, k: int) -> np.ndarray:
+    def terms(self, rows) -> np.ndarray:
         """The complex value of each term at ``rows``."""
-        phases = np.exp(1j * math.pi * self.e[rows] / (1 << k))
+        phases = np.exp(1j * math.pi * self.e[rows] / (1 << _MAX_K))
         return self.coef[rows] * phases / math.sqrt(2.0) ** self.h[rows]
 
 
 _H, _X, _CNOT = GateKind.H, GateKind.X, GateKind.CNOT
 _ONE = np.uint64(1)
-_PHASE_KINDS = (GateKind.S, GateKind.SDG, GateKind.R1, GateKind.R1DG)
 
-#: Finest rotation verify() takes on: angles are multiples of pi / 2**_MAX_K.
+#: Finest rotation verify() takes on: angles are multiples of pi / 2**_MAX_K,
+#: and phases are powers of ``w = exp(i pi / 2**_MAX_K)``, of period _PERIOD.
 _MAX_K = 62
+_PERIOD = 2 << _MAX_K
 
 
-def _phase_exponent(g: Gate, k: int) -> int:
-    """The power of ``w = exp(i pi / 2**k)`` that ``g`` puts on |1>, mod
-    ``2**(k + 1)``."""
+class _Refused(Exception):
+    """The plan will not be run; the message says why."""
+
+
+def _phase_exponent(g: Gate) -> int:
+    """The power of ``w`` that the phase gate ``g`` puts on |1>, mod
+    ``_PERIOD``.  Raises :class:`_Refused` for a rotation finer than ``pi /
+    2**_MAX_K``."""
     if g.kind is GateKind.S:
-        return 1 << (k - 1)
+        return 1 << (_MAX_K - 1)
     if g.kind is GateKind.SDG:
-        return 3 << (k - 1)
+        return 3 << (_MAX_K - 1)
     a = g.angle
-    step = a.numerator << (k + 1 - a.denominator.bit_length())
-    return (step if g.kind is GateKind.R1 else -step) % (2 << k)
+    shift = _MAX_K + 1 - a.denominator.bit_length()
+    if shift < 0:
+        raise _Refused(f"unverifiable rotation angle (finer than pi/2**{_MAX_K})")
+    step = a.numerator << shift
+    return (step if g.kind is GateKind.R1 else -step) % _PERIOD
 
 
-def _exponents(c: Circuit) -> tuple[int, dict[int, int]]:
-    """The least k with every rotation angle a multiple of ``pi / 2**k``
-    (at least 1), and ``_phase_exponent`` of each distinct phase gate of
-    ``c`` by ``id``.  Constructions share gate objects, so each distinct
-    one is read once."""
-    distinct: dict[int, Gate] = {}
-    for el in dict(zip(map(id, c.elements), c.elements)).values():
-        gates = el.body.elements if isinstance(el, ConditionedBlock) else (el,)
-        distinct.update(zip(map(id, gates), gates))
-    k = max([1] + [g.angle.denominator.bit_length() - 1
-                   for g in distinct.values() if g.angle is not None])
-    return k, {i: _phase_exponent(g, k) for i, g in distinct.items()
-               if g.kind in _PHASE_KINDS}
-
-
-def _canonical(t: _Terms, k: int) -> None:
-    """Reduce every ``e`` into ``[0, 2**k)``, moving ``w**(2**k) = -1`` into
-    the sign of ``coef``."""
-    flip = ((t.e >> k) & 1).astype(bool)
+def _canonical(t: _Terms) -> None:
+    """Reduce every ``e`` into ``[0, 2**_MAX_K)``, moving ``w**(2**_MAX_K) =
+    -1`` into the sign of ``coef``."""
+    flip = ((t.e >> _MAX_K) & 1).astype(bool)
     t.coef = np.where(flip, -t.coef, t.coef)
-    t.e &= (1 << k) - 1
+    t.e &= (1 << _MAX_K) - 1
 
 
-def _merge(t: _Terms, k: int) -> _Terms:
+def _merge(t: _Terms) -> _Terms:
     """Sum the rows that share (branch, inp, idx, e) and drop zero rows."""
-    _canonical(t, k)
+    _canonical(t)
     t = t.select(np.lexsort((*t.idx.T[::-1], t.e, t.inp, t.branch)))
     new = np.ones(t.e.size, dtype=bool)
     new[1:] = ((t.idx[1:] != t.idx[:-1]).any(axis=1) | (t.e[1:] != t.e[:-1])
@@ -382,17 +379,17 @@ def _h_rows(t: _Terms, s: int) -> _Terms:
                   t.e.repeat(2), coef)
 
 
-def _hadamard(t: _Terms, s: int, k: int) -> _Terms:
+def _hadamard(t: _Terms, s: int) -> _Terms:
     """Apply H to slot s of every row; returns the merged new rows."""
     if not t.branch.any() and (t.inp[1:] > t.inp[:-1]).all():
         # One row per input, in input order, as before the first Hadamard:
         # no two new rows share an index, and with each row's halves side
         # by side they are already in merged order.
         new = _h_rows(t, s)
-        _canonical(new, k)
+        _canonical(new)
         return new
     # no name holds the unmerged rows, so _merge can free them as it sorts
-    return _merge(_h_rows(t, s), k)
+    return _merge(_h_rows(t, s))
 
 
 def _words(masks: list[int], words: int) -> np.ndarray:
@@ -479,7 +476,7 @@ class _Run:
             table[_gather(masks, self.support)] = self.exponents
             spectrum = walsh_hadamard(table.view(np.int64)).view(np.uint64)
             # 2 * phase(z) is exact modulo 2**64, so phase(z) is exact
-            # modulo 2**63, a multiple of the period of w.
+            # modulo 2**63, the period of w.
             t.e += (table.sum() - spectrum)[_gather(t.idx, self.support)] >> 1
         elif self.masks:
             t.e += parity[:, len(self.slots):] @ self.exponents
@@ -513,23 +510,27 @@ class _Plan:
     over the live slots at the current run's start, with bit 0 for X's
     constant; between runs a live wire's mask is its own slot and any
     other wire's is 0.  A CNOT XORs the control's mask into the target's,
-    an X flips bit 0, and a phase gate adds its exponent to its wire's
-    current mask in a table; a Hadamard or a block ends the run, and only
-    the wires a CNOT or X changed are looked at again.  ``work`` is the row
-    updates of the plan with every step seeing the most rows it can,
-    ``inputs << (Hadamards before it)``.  Once the plan is ``over`` the
-    bound it is refused, so the pass stops.
+    an X flips bit 0, and a phase gate adds its exponent (a power of ``w =
+    exp(i pi / 2**_MAX_K)``, computed once per distinct gate object) to its
+    wire's current mask in a table; a Hadamard or a block ends the run, and
+    only the wires a CNOT or X changed are looked at again.  ``work`` is
+    the row updates of the plan with every step seeing the most rows it
+    can, ``inputs << (Hadamards before it)``.
+
+    The pass raises :class:`_Refused` at the first of two points: the work,
+    counted once per word of a row, passes ``WORK_BOUND`` at the end of a
+    run, or a rotation finer than ``pi / 2**_MAX_K`` comes up.  So a circuit
+    over the bound before its first too-fine rotation is refused for its
+    size.
     """
 
-    def __init__(self, circuit: Circuit, start: list[int],
-                 exponents: dict[int, int], k: int, inputs: int) -> None:
+    def __init__(self, circuit: Circuit, start: list[int], inputs: int) -> None:
         self.slot = {q: s for s, q in enumerate(start)}
         self.live = set(start)
         self.masks = [0] * circuit.qubit_count
         for q, s in self.slot.items():
             self.masks[q] = 2 << s
-        self.exponents = exponents
-        self.period = 2 << k
+        self.exponents: dict[int, int] = {}
         self.rows = inputs
         self.work = 0
         self.steps = self._steps(circuit.elements)
@@ -538,12 +539,6 @@ class _Plan:
     def words(self) -> int:
         """The uint64 words of a row, one per 64 slots."""
         return (len(self.slot) + 63) >> 6
-
-    @property
-    def over(self) -> bool:
-        """Whether the work, counted once per word of a row, passes
-        ``WORK_BOUND``."""
-        return self.work * self.words > WORK_BOUND
 
     def _slot_of(self, q: int) -> int:
         return self.slot.setdefault(q, len(self.slot))
@@ -571,12 +566,13 @@ class _Plan:
                     changed.add(q)
                     continue
                 if kind is not _H:
+                    e = exponents.get(id(el))
+                    if e is None:
+                        e = exponents[id(el)] = _phase_exponent(el)
                     m = masks[el.qubits[0]]
-                    acc[m] = acc.get(m, 0) + exponents[id(el)]
+                    acc[m] = acc.get(m, 0) + e
                     continue
             self._end_run(acc, changed, steps)
-            if self.over:
-                return steps
             acc, changed = {}, set()
             if type(el) is Gate:
                 self._go_live(el.qubits[0])
@@ -587,8 +583,6 @@ class _Plan:
                 before = set(live)
                 slot = self._slot_of(el.measured_qubit)
                 steps.append(_Block(el.measured_qubit, slot, self._steps(el.body.elements)))
-                if self.over:
-                    return steps
                 # the outcome-0 rows skip the body, so its dead wires live on
                 for q in before - live:
                     self._go_live(q)
@@ -604,20 +598,20 @@ class _Plan:
                 a = -a
             if m > 1:
                 phases[m >> 1] = phases.get(m >> 1, 0) + a
-        period = self.period
-        phases = {m: a % period for m, a in phases.items() if a % period}
+        phases = {m: a % _PERIOD for m, a in phases.items() if a % _PERIOD}
         masks, live, slot = self.masks, self.live, self.slot
         rewrites = {}
         for q in sorted(changed):
             m = masks[q]
             if m != (2 << slot[q] if q in live else 0):
                 rewrites[self._slot_of(q)] = m
-        run = _Run(phases, constant % period, rewrites)
+        run = _Run(phases, constant % _PERIOD, rewrites)
         if run.masks or run.constant or run.slots:
             self.work += run.cost(self.rows)[0]
             steps.append(run)
-        if self.over:
-            return
+        if self.work * self.words > WORK_BOUND:
+            raise _Refused(f"unverifiable at this size (at least {self.work * self.words}"
+                           f" row updates > bound {WORK_BOUND})")
         for q in changed:
             if masks[q]:
                 self._go_live(q)
@@ -625,7 +619,7 @@ class _Plan:
                 live.discard(q)
 
 
-def _simulate(plan: _Plan, t: _Terms, k: int, inputs: int):
+def _simulate(plan: _Plan, t: _Terms, inputs: int):
     """Run the plan on the rows.  Returns (rows, the measurement outcomes
     of each branch id, peak rows held by one input, row updates done)."""
     peak = 1
@@ -639,7 +633,7 @@ def _simulate(plan: _Plan, t: _Terms, k: int, inputs: int):
                 work += step.apply(t)
             else:
                 work += 2 * t.e.size
-                t = _hadamard(t, step, k)
+                t = _hadamard(t, step)
                 held = np.bincount(t.inp, minlength=inputs) + held_elsewhere
                 peak = max(peak, int(held.max()))
         return t
@@ -700,35 +694,15 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
     lands elsewhere, or else the equal superposition of two inputs whose
     amplitudes differ.  Circuits whose plan work exceeds ``WORK_BOUND``,
     or with rotations finer than ``pi / 2**62``, are reported UNVERIFIABLE
-    before any row work starts.  No random state is drawn and no tolerance
-    applies; ``seed`` is only echoed in the report.
+    before any row work starts, with the reason the plan met first.  No
+    random state is drawn and no tolerance applies; ``seed`` is only echoed
+    in the report.
     """
-    contract = result.kind.target_contract
-    circuit = result.circuit
     layout = result.layout
-
-    def report(verdict, basis=0, infidelity=0.0, aux_ok=True,
-               counter=None, branches=0, support=0, updates=0):
-        return VerificationReport(
-            construction=result.kind.value,
-            function=f.hex_form(),
-            basis_inputs=basis,
-            seed=seed,
-            max_infidelity=infidelity,
-            aux_restored=aux_ok,
-            verdict=verdict,
-            counterexample=counter,
-            max_branches=branches,
-            peak_support=support,
-            row_updates=updates,
-        )
-
-    k, exponents = _exponents(circuit)
-    if k > _MAX_K:
-        return report("UNVERIFIABLE",
-                      counter=f"unverifiable rotation angle (finer than pi/2**{_MAX_K})")
+    report = partial(VerificationReport, construction=result.kind.value,
+                     function=f.hex_form(), seed=seed)
     n = f.n
-    legal, images = oracle(f, contract)
+    legal, images = oracle(f, result.kind.target_contract)
     inputs = legal.size
     # Start slots ordered so that rows differing only there sort as
     # basis-index words would (word 0's top bit first, the last word's
@@ -736,15 +710,12 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
     # rows that also differ on a dirty auxiliary (a FAIL) can sort
     # otherwise, which may move the last bit of the FAIL's infidelity.
     start = sorted((*layout.controls, layout.target), key=lambda q: (-(q >> 6), q & 63))
-    plan = _Plan(circuit, start, exponents, k, inputs)
+    try:
+        plan = _Plan(result.circuit, start, inputs)
+    except _Refused as refusal:
+        return report(verdict="UNVERIFIABLE", counterexample=str(refusal))
     slot = plan.slot
     words = plan.words
-    if plan.over:
-        return report(
-            "UNVERIFIABLE",
-            counter=f"unverifiable at this size (at least {plan.work * words} row"
-                    f" updates > bound {WORK_BOUND})",
-        )
 
     slots = [slot[q] for q in (*layout.controls, layout.target)]
     expected = _embed(slots, images, words)
@@ -752,9 +723,9 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
     rows = _Terms(zeros, np.arange(inputs), _embed(slots, legal, words),
                   zeros.copy(), np.zeros(inputs, dtype=np.uint64),
                   np.ones(inputs, dtype=np.int64))
-    t, outcomes, peak, work = _simulate(plan, rows, k, inputs)
+    t, outcomes, peak, work = _simulate(plan, rows, inputs)
     work *= words
-    _canonical(t, k)
+    _canonical(t)
 
     # An auxiliary wire with no slot is |0> at the end.
     aux = np.zeros(words, dtype=np.uint64)
@@ -777,7 +748,7 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
         # row order, and the norm over the indices in order of first reach
         keys, first, index = np.unique(t.idx[mine], axis=0, return_index=True,
                                        return_inverse=True)
-        terms = t.terms(mine, k)
+        terms = t.terms(mine)
         re, im = (np.bincount(index, part) for part in (terms.real, terms.imag))
         # np.hypot is bit for bit abs(complex); float ** 2 is libm pow, which
         # can differ from numpy's x * x in the last bit, so it squares here
@@ -789,21 +760,21 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
     else:
         found = _unequal_amplitude(t, inputs)
         if found is None:
-            return report("PASS", basis=inputs, aux_ok=aux_ok,
-                          branches=len(outcomes), support=peak, updates=work)
+            return report(verdict="PASS", basis_inputs=inputs, aux_restored=aux_ok,
+                          max_branches=len(outcomes), peak_support=peak, row_updates=work)
         b, i = found
-        a0, a1 = (complex(np.sum(t.terms((t.branch == b) & (t.inp == j), k))) for j in (0, i))
+        a0, a1 = (complex(np.sum(t.terms((t.branch == b) & (t.inp == j)))) for j in (0, i))
         fidelity = abs(a0 + a1) / math.sqrt(2.0 * (abs(a0) ** 2 + abs(a1) ** 2))
         infidelity = 1.0 - fidelity
         what = f"({label(0)} + {label(i)})/sqrt2"
     return report(
-        "FAIL",
-        basis=inputs,
-        infidelity=infidelity,
-        aux_ok=aux_ok,
-        counter=f"input {what}, outcomes {outcomes[b]}, infidelity {infidelity:.3e}",
-        branches=len(outcomes),
-        support=peak,
-        updates=work,
+        verdict="FAIL",
+        basis_inputs=inputs,
+        max_infidelity=infidelity,
+        aux_restored=aux_ok,
+        counterexample=f"input {what}, outcomes {outcomes[b]}, infidelity {infidelity:.3e}",
+        max_branches=len(outcomes),
+        peak_support=peak,
+        row_updates=work,
     )
 

@@ -275,6 +275,40 @@ def test_verify_reports_unverifiable_angles():
     assert "angle" in report.counterexample
 
 
+@pytest.mark.parametrize("where", ["block", "before-bound", "after-bound"])
+def test_verify_refuses_at_the_first_reason_before_row_work(monkeypatch, where):
+    # the plan stops at whichever comes first: a rotation finer than
+    # pi/2**62, or a run that takes the work over the bound (here the run
+    # after Hadamards on 40 idle auxiliaries)
+    fine = r1(Fraction(1, 1 << 70), 0)
+    if where == "block":
+        result = synthesize(AND2, ConstructionKind.ANDDG_LOW_WIDTH)
+        c = result.circuit
+        *head, block = c.elements
+        body = Circuit(c.qubit_count, block.body.elements + (fine,))
+        elements = (*head, ConditionedBlock(block.measured_qubit, body))
+        result = dataclasses.replace(result, circuit=Circuit(c.qubit_count, elements, c.roles))
+    else:
+        layout = Layout(controls=(0, 1), target=2, aux=tuple(range(3, 43)))
+        spread = tuple(h(q) for q in layout.aux)
+        body = synthesize(AND2, ConstructionKind.GENERAL_LOW_WIDTH).circuit.elements
+        elements = ((fine,) + spread + body if where == "before-bound"
+                    else spread + body + (fine,))
+        result = SynthesisResult(ConstructionKind.GENERAL_LOW_WIDTH,
+                                 Circuit(43, elements, layout.roles(43)), layout)
+
+    def no_row_work(*args):
+        raise AssertionError("row work started")
+
+    monkeypatch.setattr(sim, "_simulate", no_row_work)
+    report = verify(result, AND2)
+    reason = ("unverifiable at this size (at least 16777200 row updates > bound 8388608)"
+              if where == "after-bound" else
+              "unverifiable rotation angle (finer than pi/2**62)")
+    assert (report.verdict, report.counterexample) == ("UNVERIFIABLE", reason)
+    assert (report.max_branches, report.peak_support, report.row_updates) == (0, 0, 0)
+
+
 def test_verify_counts_row_updates_within_the_bound():
     for kind in ConstructionKind:
         report = verify(synthesize(AND2, kind), AND2)
@@ -545,8 +579,7 @@ def wired_circuits(draw):
 def path_sum_branches(c: Circuit, start, index: int) -> dict:
     """Amplitudes of each measurement branch of one basis input, from the
     plan's rows."""
-    k, exponents = sim._exponents(c)
-    plan = sim._Plan(c, start, exponents, k, 1)
+    plan = sim._Plan(c, start, 1)
     words = (len(plan.slot) + 63) >> 6
     idx = np.zeros((1, words), dtype=np.uint64)
     for q in start:
@@ -555,15 +588,15 @@ def path_sum_branches(c: Circuit, start, index: int) -> dict:
     zero = np.zeros(1, dtype=np.int64)
     rows = sim._Terms(zero, zero.copy(), idx, zero.copy(), np.zeros(1, dtype=np.uint64),
                       np.ones(1, dtype=np.int64))
-    t, outcomes, _, work = sim._simulate(plan, rows, k, 1)
+    t, outcomes, _, work = sim._simulate(plan, rows, 1)
     assert work <= plan.work
-    sim._canonical(t, k)
+    sim._canonical(t)
     out: dict = {}
     for r in range(t.e.size):
         full = sum(int(t.bit(slot)[r]) << q for q, slot in plan.slot.items())
         key = tuple(sorted(outcomes[t.branch[r]].items()))
         out.setdefault(key, np.zeros(1 << c.qubit_count, dtype=complex))[full] += (
-            t.terms([r], k)[0])
+            t.terms([r])[0])
     return out
 
 
