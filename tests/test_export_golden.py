@@ -33,6 +33,11 @@ SPARSE = ("(x1 & x3) ^ x5", "(x2 | ~x4 | x6) ^ x1",
 #: Compiled with anddg-lowwidth, its conditioned block runs past column 4.
 WRAPPED_BLOCK = "anddg-lowwidth/0x8:2"
 
+#: One construction per case: anddg-lowwidth at n = 8 hangs one long body
+#: off the measured row; general-depth1 at n = 4 places many runs of one
+#: shape each (a run being shapes that each share a row with the one before).
+LONG_RUNS = (("anddg-lowwidth", 8), ("general-depth1", 4))
+
 
 def _seeded_table(n: int) -> TruthTable:
     bits = np.random.default_rng([20201, n]).integers(0, 2, size=1 << n)
@@ -42,7 +47,10 @@ def _seeded_table(n: int) -> TruthTable:
 def _hand_built() -> dict[str, Circuit]:
     """Shapes the constructions do not emit: no roles, a conditioned gate
     on the measured wire itself, a drop crossing the measured wire, a gap
-    in a block's columns, an empty block and an empty circuit."""
+    in a block's columns, an empty block and an empty circuit; a gate that
+    opens a new column without sharing a row with the gate before it, and
+    runs of overlapping gates, one of them a block, that start below the
+    highest column and climb past it."""
     body = Circuit(5, (
         cnot(4, 0),                  # spans the measured wire 2
         r1(Fraction(1, 4), 2),       # on the measured wire
@@ -62,6 +70,13 @@ def _hand_built() -> dict[str, Circuit]:
         "hand/no-roles": gates,
         "hand/roles": Circuit(5, gates.elements, ("x1", "x2", "target", "aux", "aux")),
         "hand/empty": Circuit(3, roles=("x1", "x2", "target")),
+        "hand/frontier-jump": Circuit(3, (h(0), h(0), h(2), cnot(0, 1), h(1), x(2))),
+        "hand/climb": Circuit(6, (
+            h(0), h(0), h(0),
+            x(5), cnot(5, 4), cnot(4, 3), cnot(3, 2), cnot(2, 1), cnot(1, 0), cnot(0, 2), h(1),
+            ConditionedBlock(3, Circuit(6, (cnot(4, 3), x(0), x(5), s(3)))),
+            h(4), cnot(1, 2),
+        )),
     }
 
 
@@ -123,6 +138,9 @@ def cases() -> dict[str, Circuit]:
     f = parse_function("0x8:2")
     for kind in ConstructionKind:
         out[f"{kind.value}/0x8:2"] = synthesize(f, kind).circuit
+    for kind, n in LONG_RUNS:
+        out[f"{kind}/(x1 & x2 & ~x3) ^ x{n}"] = synthesize(
+            parse_function(f"(x1 & x2 & ~x3) ^ x{n}"), ConstructionKind(kind)).circuit
     out["merged/general-lowwidth/0xb6:3"] = merge_s_gate(
         synthesize(parse_function("0xb6:3"), ConstructionKind.GENERAL_LOW_WIDTH).circuit)
     out.update(_hand_built())
