@@ -4,15 +4,21 @@ Both outputs are deterministic: the same circuit always serializes to the
 same bytes, and every rotation angle appears as an exact integer-over-
 power-of-two multiple of pi, never as a floating-point literal.
 
-Both are linear in their output size.  The diagram places each gate with one
-loop, then paints a grid of code points in a fixed number of numpy steps.
+Both are linear in their output size.  The diagram describes each distinct
+shape (a gate, a measurement, or a gate hanging off a measured row) once,
+with numpy over all of them; places the shapes in ASAP columns run by run,
+a run being shapes that each share a row with the one before; and paints
+one grid of code points in a fixed number of numpy steps.  Run placement is
+exact because once a shape of a run reaches the highest column, the next
+shares a row with it and so opens the next column: only the shapes before
+that, and the rows the run leaves behind, are placed one at a time.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -34,52 +40,153 @@ def format_pi_multiple(angle: Fraction) -> str:
 _SYMBOLS = {GateKind.H: "H", GateKind.S: "S", GateKind.SDG: "S†", GateKind.X: "X",
             GateKind.R1: "R1", GateKind.R1DG: "R1†"}
 
+#: The texts of a target and of a junction, in front of every shape's first
+#: cell's text.
+_POOL = "⊕●"
 
-def _gate_cells(gate: Gate) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """The rows and the texts of a gate's cells."""
-    if gate.kind is GateKind.CNOT:
-        return gate.qubits, ("●", "⊕")
-    angle = "" if gate.angle is None else f"({format_pi_multiple(gate.angle)})"
-    return gate.qubits, (_SYMBOLS[gate.kind] + angle,)
+#: Row label prefixes other than the role itself.
+_ROLE_NAMES = {"target": "y", "aux": "0"}
+
+
+def _label(gate: Gate) -> str:
+    """The text of a one-qubit gate's cell."""
+    if gate.angle is None:
+        return _SYMBOLS[gate.kind]
+    return f"{_SYMBOLS[gate.kind]}({format_pi_multiple(gate.angle)})"
+
+
+def _shapes(c: Circuit) -> tuple[np.ndarray, np.ndarray, str]:
+    """Each distinct shape of ``c`` once, and the shape at every position.
+
+    A shape is a gate, a measurement, or a gate hanging off a measured row.
+    Constructions share gate objects, so shapes are keyed by ``id``: each
+    distinct gate once, and each distinct gate of a block body once per
+    measured row.  Returns ``placed``, the shapes in drawing order;
+    ``table``, one column per shape: its row span ``lo, hi``, 1 if it hangs
+    off a measured row (row j) else 0, then its three cells' rows, text
+    lengths and text offsets into ``pool``; and ``pool``.  The cells are a
+    (a control, or the one cell), b (a target, or a again) and j (the row
+    the shape hangs off, or a again), drawn as a junction only where the
+    gate misses that row; a cell of text length 0 is not drawn.  The first
+    cell is the widest, and the cells' rows include both ends of the span.
+    """
+    ids = [*map(id, c.elements)]
+    distinct = dict(zip(ids, c.elements))
+    placed = np.fromiter(map(dict(zip(distinct, range(len(distinct)))).__getitem__, ids),
+                         np.intp, len(ids))
+    # Shapes: each distinct element (a block as its measurement), then each
+    # distinct gate of a block's body per measured row, hanging off it.
+    cnot, first = GateKind.CNOT, len(distinct)
+    cells = [(el.measured_qubit,) if isinstance(el, ConditionedBlock) else el.qubits
+             for el in distinct.values()]
+    texts = ["M" if isinstance(el, ConditionedBlock) else "●" if el.kind is cnot
+             else _label(el) for el in distinct.values()]
+    on, junction, by_row, bodies = [], [], {}, {}
+    blocks = [(shape, el) for shape, el in enumerate(distinct.values())
+              if isinstance(el, ConditionedBlock)]
+    for shape, block in blocks:
+        q, body = block.measured_qubit, block.body.elements
+        body_ids = [*map(id, body)]
+        hang = by_row.setdefault(q, {})
+        new = {key: g for key, g in dict(zip(body_ids, body)).items() if key not in hang}
+        hang.update(zip(new, range(len(cells), len(cells) + len(new))))
+        cells += map(attrgetter("qubits"), new.values())
+        texts += ["●" if g.kind is cnot else _label(g) for g in new.values()]
+        on += [q] * len(new)
+        junction += [q not in g.qubits for g in new.values()]
+        bodies[shape] = [*map(hang.__getitem__, body_ids)]
+    if bodies:
+        # Each block's body follows its measurement.
+        placed = np.fromiter(chain.from_iterable(
+            (shape, *bodies.get(shape, ())) for shape in placed.tolist()), np.intp)
+    del ids, distinct, blocks  # no longer needed while the table is built
+    count = len(cells)
+    table = np.zeros((12, count), np.intp)
+    lo, hi, a, b, j = table[0], table[1], table[3], table[4], table[5]
+    table[3:5] = np.fromiter(chain.from_iterable(map(itemgetter(0, -1), cells)), np.intp,
+                             2 * count).reshape(count, 2).T
+    j[:first] = a[:first]
+    j[first:] = on
+    table[2, first:] = 1
+    np.minimum(np.minimum(a, b), j, out=lo)
+    np.maximum(np.maximum(a, b), j, out=hi)
+    hi += 1
+    table[7] = a != b
+    table[8, first:] = junction
+    offsets = np.fromiter(accumulate(map(len, texts), initial=len(_POOL)), np.intp, count + 1)
+    np.subtract(offsets[1:], offsets[:-1], out=table[6])
+    table[9] = offsets[:-1]
+    table[10], table[11] = _POOL.index("⊕"), _POOL.index("●")
+    return placed, table, _POOL + "".join(texts)
 
 
 def diagram_bytes_floor(c: Circuit) -> int:
     """A lower bound on the UTF-8 size of ``to_text_diagram(c)``, found in
     time linear in the gate count without drawing anything.
 
-    Placement gives each gate whose row span covers a row a column of its
-    own, at least as wide as the gate's widest cell plus two.  Each column
+    Placement gives each shape whose row span covers a row a column of its
+    own, at least as wide as the shape's widest cell plus two.  Each column
     puts its width in characters on every row, two of them 3-byte
     box-drawing characters, so each row takes at least the sum, over the
-    gates covering it, of (widest cell + 6) bytes.
+    shapes covering it, of (widest cell + 6) bytes.
     """
-    cover = [0] * (c.qubit_count + 1)
-
-    def add(lo: int, hi: int, gate: Gate | None, repeats: int) -> None:
-        # A measurement's cell is one character wide.
-        width = 1 if gate is None else max(map(len, _gate_cells(gate)[1]))
-        cover[lo] += (width + 6) * repeats
-        cover[hi + 1] -= (width + 6) * repeats
-
-    # Constructions share gate objects, so each distinct one is read once.
-    repeats = Counter(map(id, c.elements))
-    for el in dict(zip(map(id, c.elements), c.elements)).values():
-        times = repeats[id(el)]
-        if isinstance(el, ConditionedBlock):
-            q = el.measured_qubit
-            add(q, q, None, times)
-            for g in el.body.elements:
-                add(min(q, *g.qubits), max(q, *g.qubits), g, times)
-        else:
-            add(min(el.qubits), max(el.qubits), el, times)
-    return c.qubit_count * max(accumulate(cover))
+    placed, table, _ = _shapes(c)
+    # Sums of weights are float64, exact far beyond any drawable size.
+    weight = (table[6] + 6) * np.bincount(placed, minlength=table.shape[1])
+    cover = (np.bincount(table[0], weight, c.qubit_count + 1)
+             - np.bincount(table[1], weight, c.qubit_count + 1))
+    return c.qubit_count * int(cover.cumsum().max())
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
     """The ranges ``starts[i] + step * arange(counts[i])``, concatenated."""
-    out = (starts - step * (counts.cumsum() - counts)).repeat(counts)
+    offsets = np.add.accumulate(counts) - counts
+    out = (starts - (offsets if step == 1 else step * offsets)).repeat(counts)
     out += np.arange(0, step * len(out), step)
     return out
+
+
+def _columns(lo: np.ndarray, hi: np.ndarray, rows: int) -> tuple[np.ndarray, int]:
+    """The ASAP column of each shape in turn, one past the highest column
+    taken on its rows ``lo[i]:hi[i]`` by the shapes before it, and the
+    number of columns (at least one).
+
+    Shapes are placed run by run, a run being shapes that each share a row
+    with the one before.  Once a shape of a run reaches the highest column
+    so far, every later shape of the run shares a row with a shape at the
+    highest column, so it opens the next one: the rest of the run takes
+    consecutive columns.
+    """
+    occupied, columns, top = [-1] * rows, [0] * len(lo), -1
+    cuts = (((lo[1:] >= hi[:-1]) | (hi[1:] <= lo[:-1])).nonzero()[0] + 1).tolist()
+    lo, hi = lo.tolist(), hi.tolist()
+    for start, end in zip([0, *cuts], [*cuts, len(lo)]):
+        for i in range(start, end):
+            a, b = lo[i], hi[i]
+            column = columns[i] = 1 + max(occupied[a:b])
+            occupied[a:b] = [column] * (b - a)
+            if column >= top:
+                break
+        else:
+            continue
+        top = column + end - 1 - i
+        if top == column:
+            continue
+        columns[i + 1 : end] = range(column + 1, top + 1)
+        # The rest of the run covers contiguous rows, each left at the column
+        # of the last shape covering it: scan back until all are covered.
+        need_lo, need_hi = min(lo[i + 1 : end]), max(hi[i + 1 : end])
+        a = b = lo[end - 1]
+        for j in range(end - 1, i, -1):
+            if lo[j] < a:
+                occupied[lo[j] : a] = [columns[j]] * (a - lo[j])
+                a = lo[j]
+            if hi[j] > b:
+                occupied[b : hi[j]] = [columns[j]] * (hi[j] - b)
+                b = hi[j]
+            if a == need_lo and b == need_hi:
+                break
+    return np.array(columns, np.intp), max(top, 0) + 1
 
 
 def to_text_diagram(c: Circuit, max_columns: int | None = None) -> str:
@@ -92,96 +199,75 @@ def to_text_diagram(c: Circuit, max_columns: int | None = None) -> str:
     with ``…`` continuation markers.
     """
     rows = c.qubit_count
-    # Each distinct shape (a gate, a measurement, or a gate hanging off a
-    # measured row) once: its row span; in ``table`` its connector's first
-    # row, length and character, the row it hangs off (or -1), and its cells'
-    # rows and text lengths; in ``texts`` the texts.  Cells are padded to three.
-    spans, table, texts, known = [], [], [], {}
-
-    def shape(cell_rows: tuple[int, ...], cell_texts: tuple[str, ...], link: str = "│",
-              on: int = -1) -> int:
-        lo, hi = min(cell_rows), max(cell_rows)
-        spans.append((lo, hi + 1))
-        pad = (0,) * (3 - len(cell_rows))
-        table.extend((lo + 1, max(hi - lo - 1, 0), ord(link), on, *cell_rows, *pad,
-                      *map(len, cell_texts), *pad))
-        texts.extend(cell_texts)
-        return len(spans) - 1
-
-    def hanging(gate: Gate, q: int) -> int:
-        if (id(gate), q) not in known:
-            cell_rows, cell_texts = _gate_cells(gate)
-            known[id(gate), q] = (shape(cell_rows, cell_texts, on=q) if q in cell_rows
-                                  else shape((*cell_rows, q), (*cell_texts, "●"), "║", q))
-        return known[id(gate), q]
-
-    # Elements are shared, so each is described once, as the shapes it places.
-    for key, el in dict(zip(map(id, c.elements), c.elements)).items():
-        if isinstance(el, ConditionedBlock):
-            q = el.measured_qubit
-            known[key] = (shape((q,), ("M",)), *[hanging(g, q) for g in el.body.elements])
-        else:
-            known[key] = (shape(*_gate_cells(el)),)
-    placed = list(chain.from_iterable(map(known.__getitem__, map(id, c.elements))))
-    # Placement: each shape takes the first column free on its row span.
-    occupied, columns = [-1] * rows, []
-    for lo, hi in map(spans.__getitem__, placed):
-        column = 1 + max(occupied[lo:hi])
-        occupied[lo:hi] = [column] * (hi - lo)
-        columns.append(column)
+    k, table, pool = _shapes(c)
+    lo, hi, hanging = (placement := table.take(k, 1))[:3]
+    col, count = _columns(lo, hi, rows)
 
     # Painting: every column is as wide as its widest cell plus two.
-    col = np.array(columns, np.intp)
-    k = np.array(placed, np.intp)
-    shapes = np.array(table, np.intp).reshape(-1, 10)
-    text_at = (shapes[:, 7:].cumsum().reshape(-1, 3) - shapes[:, 7:])[k]
-    link_lo, link_n, link_char, on = (placement := shapes[k])[:, :4].T
-    cell_row, cell_len = placement[:, 4:7], placement[:, 7:]
-    width = np.full(1 + max(columns, default=0), 2, np.intp)
-    np.maximum.at(width, col, cell_len.max(1) + 2)
-    xs = np.concatenate(([0], width.cumsum()))
-    stride = int(xs[-1])
-    labels = [f"{ {'target': 'y', 'aux': '0'}.get(role, role)}_{q}:"
+    cell_row, cell_len, text_at = placement[3:6], placement[6:9], placement[9:]
+    widest = np.zeros(count, np.intp)
+    np.maximum.at(widest, col, cell_len[0])
+    labels = [f"{_ROLE_NAMES.get(role, role)}_{q}:"
               for q, role in enumerate(c.roles or ("q",) * rows)]
     label_width = max(map(len, labels), default=0) + 1
     label_text = "".join(label.ljust(label_width) for label in labels)
+    # The grid holds the unwrapped text, one line per row: the label, the
+    # columns from x = xs[0] on, and a newline.
+    xs = np.arange(label_width, label_width + 2 * count + 1, 2)
+    xs[1:] += np.add.accumulate(widest)
+    stride = int(xs[-1]) + 1
     # Roles are ASCII, so every character drawn is one UTF-16 code unit.
     dtype, codec = np.uint16, "utf-16-le"
-    grid = np.full(rows * stride, ord("─"), dtype)
-    # A text of length m starts at x + (width - m) // 2 = (anchor - m) // 2.
-    anchor = 2 * xs[col] + width[col]
-    grid[_runs(link_lo * stride + ((anchor - 1) >> 1), link_n, stride)] = link_char.repeat(link_n)
-    # A gate hanging off a row draws its double line from the column after
-    # the previous shape of its block (or the measurement) to its own.
-    hang = np.flatnonzero(on >= 0)
+    codes = np.frombuffer(pool.encode(codec), dtype)
+    grid = np.empty(rows * stride, dtype)
+    grid.fill(ord("─"))
+    # In a column from x to x', a text of length m starts at
+    # x + (x' - x - m) // 2 = (anchor - m) // 2.
+    anchor = (xs[:-1] + xs[1:]).take(col)
+    # A link runs down the shape's whole span; its cells, drawn over it
+    # later, cover both ends.
+    link = lo * stride + ((anchor - 1) >> 1)
+    grid[_runs(link, hi - lo, stride)] = ord("│")
+    hang = hanging.nonzero()[0]
     if len(hang):
+        # A gate missing the row it hangs off links to it with ``║``, and
+        # every hanging gate draws its double line from the column after the
+        # previous shape of its block (or the measurement) to its own.
+        junction = hang[cell_len[2, hang] > 0]
+        grid[_runs(link[junction], hi[junction] - lo[junction], stride)] = ord("║")
         x0, x1 = xs[col[hang - 1] + 1], xs[col[hang] + 1]
-        grid[_runs(on[hang] * stride + x0, x1 - x0)] = ord("═")
+        grid[_runs(cell_row[2, hang] * stride + x0, x1 - x0)] = ord("═")
     # Then the cells, over any double line: a cell's text moves by ``shift``.
-    shift = (cell_row * stride + ((anchor[:, None] - cell_len) >> 1) - text_at).ravel()
+    shift = (cell_row * stride + ((anchor - cell_len) >> 1) - text_at).ravel()
     at = _runs(text_at.ravel(), cell_len := cell_len.ravel())
-    grid[at + shift.repeat(cell_len)] = np.frombuffer("".join(texts).encode(codec), dtype)[at]
-    del placement, link_lo, link_n, link_char, on, cell_row, cell_len, text_at, anchor, shift, at
+    grid[at + shift.repeat(cell_len)] = codes.take(at)
+    del placement, lo, hi, hanging, link, cell_row, cell_len, text_at, anchor, shift, at
+    lines = grid.reshape(rows, stride)
+    lines[:, :label_width] = np.frombuffer(label_text.encode(codec), dtype).reshape(
+        rows, label_width)
+    lines[:, -1] = ord("\n")
 
-    # The output: per section of at most ``max_columns`` columns, a line per
-    # row (label, ``…`` where it continues, gates), and a blank line between.
-    step = max_columns if max_columns is not None and max_columns > 0 else len(width)
-    cuts = xs[list(range(0, len(width), step)) + [len(width)]].tolist()
+    # Wrapped, per section of at most ``max_columns`` columns, a line per row
+    # (label, ``…`` where it continues, columns), and a blank line between.
+    step = max_columns if max_columns is not None and max_columns > 0 else count
+    cuts = [*xs[:-1:step].tolist(), stride - 1]
     last = len(cuts) - 2
-    out = np.full(rows * ((last + 1) * (label_width + 1) + 2 * last + stride) + last,
-                  ord("\n"), dtype)
-    label_codes = np.frombuffer(label_text.encode(codec), dtype).reshape(rows, label_width)
+    if last == 0:
+        return str(memoryview(grid[:-1]), codec)  # unwrapped, the grid is the text
+    out = np.empty(rows * ((last + 1) * (label_width + 1) + 2 * last + stride - label_width - 1)
+                   + last, dtype)
+    out.fill(ord("\n"))
     pos = 0
     for s, (x0, x1) in enumerate(zip(cuts, cuts[1:])):
         head = label_width + (s > 0)
         tail = head + x1 - x0
         length = tail + (s < last) + 1
         section = out[pos : pos + rows * length].reshape(rows, length)
-        section[:, :label_width] = label_codes
+        section[:, :label_width] = lines[:, :label_width]
         section[:, label_width:head] = section[:, tail:-1] = ord("…")
-        section[:, head:tail] = grid.reshape(rows, stride)[:, x0:x1]
+        section[:, head:tail] = lines[:, x0:x1]
         pos += rows * length + 1
-    del grid
+    del grid, lines
     return str(memoryview(out[:-1]), codec)
 
 

@@ -6,7 +6,9 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import example, given, strategies as st
 
+from fcnot import export
 from fcnot.boolfn import TruthTable
 from fcnot.circuit import Circuit, ConditionedBlock, cnot, h, r1, r1dg, x
 from fcnot.export import diagram_bytes_floor, format_pi_multiple, to_qasm, to_text_diagram
@@ -80,6 +82,63 @@ def test_diagram_wraps_at_column_cap():
 def test_diagram_is_deterministic():
     circuit = synthesize(AND2, ConstructionKind.GENERAL_DEPTH1).circuit
     assert to_text_diagram(circuit) == to_text_diagram(circuit)
+
+
+def _columns_one_at_a_time(spans, rows):
+    """The reference placement: each shape in turn takes the column after
+    the highest one taken on its rows."""
+    occupied, columns = [-1] * rows, []
+    for lo, hi in spans:
+        column = 1 + max(occupied[lo:hi])
+        occupied[lo:hi] = [column] * (hi - lo)
+        columns.append(column)
+    return columns
+
+
+@st.composite
+def _spans(draw):
+    """Row spans ``[lo, hi)`` over a few rows: any span, one row, the full
+    height, a span nested in the one before, one disjoint from it, and a
+    repeat of an earlier one."""
+    rows = draw(st.integers(1, 8))
+    spans = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(("any", "row", "full", "nested", "disjoint", "repeat")))
+        a, b = spans[-1] if spans else (0, rows)
+        if kind == "row":
+            lo = draw(st.integers(0, rows - 1))
+            span = (lo, lo + 1)
+        elif kind == "full":
+            span = (0, rows)
+        elif kind == "nested":
+            lo = draw(st.integers(a, b - 1))
+            span = (lo, draw(st.integers(lo + 1, b)))
+        elif kind == "disjoint" and (a > 0 or b < rows):
+            lo = draw(st.integers(0, a - 1) if a > 0 else st.integers(b, rows - 1))
+            span = (lo, draw(st.integers(lo + 1, a if lo < a else rows)))
+        elif kind == "repeat" and spans:
+            span = draw(st.sampled_from(spans))
+        else:
+            lo = draw(st.integers(0, rows - 1))
+            span = (lo, draw(st.integers(lo + 1, rows)))
+        spans.append(span)
+    return spans, rows
+
+
+@given(_spans())
+@example(([], 3))
+@example(([(1, 2)], 3))
+@example(([(0, 4)] * 3 + [(1, 3), (2, 3), (0, 1)], 4))
+@example(([(0, 1), (2, 3), (1, 2), (0, 3), (3, 4), (1, 4)], 4))
+# Below the highest column, a run climbs to it and past it.
+@example(([(0, 1)] * 3 + [(5, 6), (4, 6), (3, 5), (2, 4), (1, 3), (0, 2), (0, 3), (1, 2)], 6))
+def test_run_placement_matches_placing_one_shape_at_a_time(case):
+    spans, rows = case
+    lo, hi = np.array(spans, np.intp).reshape(-1, 2).T
+    columns, count = export._columns(lo, hi, rows)
+    want = _columns_one_at_a_time(spans, rows)
+    assert columns.tolist() == want
+    assert count == 1 + max(want, default=0)
 
 
 def test_diagram_peak_memory_is_under_three_times_the_text():
