@@ -8,15 +8,18 @@ Clifford detection and the S merge never touch floating point.
 Gates and circuits are immutable after construction; every function here
 is pure.  One gate object may therefore stand at many positions of one or
 more circuits, and the constructions build each distinct gate only once.
+Only :class:`Circuit` works out which positions share an object.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 
 class GateKind(Enum):
@@ -114,7 +117,7 @@ class ConditionedBlock:
     def __post_init__(self) -> None:
         if self.measured_qubit < 0:
             raise ValueError("qubit indices must be nonnegative")
-        if set(map(type, self.body.elements)) - {Gate}:
+        if set(map(type, self.body.distinct)) - {Gate}:
             raise ValueError("conditioned blocks cannot nest measurements")
 
 
@@ -130,18 +133,31 @@ class Circuit:
     ``roles`` optionally annotates each qubit as ``"x<i>"`` (control for
     variable i), ``"target"``, or ``"aux"``; auxiliary annotations let the
     verifier assert restoration to |0>.
+
+    ``distinct`` holds each element object once, in order of first
+    appearance, and ``order`` (intp) the index there of the object at each
+    position: ``distinct[order[i]] is elements[i]``.  Both are worked out
+    when the circuit is made, and take no part in equality or ``repr``.
     """
 
     qubit_count: int
     elements: tuple[CircuitElement, ...] = ()
     roles: tuple[str, ...] | None = None
+    distinct: tuple[CircuitElement, ...] = field(init=False, compare=False, repr=False)
+    order: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.qubit_count < 0:
             raise ValueError("qubit_count must be nonnegative")
         width = self.qubit_count
-        # Gates are shared between positions, so each object is checked once.
-        for el in dict(zip(map(id, self.elements), self.elements)).values():
+        # Objects are numbered by first appearance; all positions of one
+        # number hold one object, so any of them gives it.
+        index: dict[int, int] = {}
+        order = [index.setdefault(i, len(index)) for i in map(id, self.elements)]
+        object.__setattr__(self, "distinct", tuple(dict(zip(order, self.elements)).values()))
+        object.__setattr__(self, "order", np.array(order, np.intp))
+        # Each distinct object is checked once.
+        for el in self.distinct:
             if isinstance(el, ConditionedBlock):
                 if el.measured_qubit >= width:
                     raise ValueError("measured qubit out of range")
@@ -187,7 +203,7 @@ def _sweep(depth: list[int], elements: tuple[CircuitElement, ...]) -> None:
     stage more) change them."""
     for el in elements:
         if isinstance(el, ConditionedBlock):
-            touched = {el.measured_qubit}.union(*[g.qubits for g in el.body.elements])
+            touched = {el.measured_qubit}.union(*[g.qubits for g in el.body.distinct])
             d0 = max(depth[q] for q in touched)
             for q in touched:
                 depth[q] = d0
@@ -215,31 +231,34 @@ class ResourceCounts:
     auxiliary: int
 
 
+#: Each gate kind, and the field of :class:`ResourceCounts` that counts it.
+_KINDS = (_CNOT, _R1, _R1DG, GateKind.H, GateKind.S, GateKind.SDG, GateKind.X)
+_FIELDS = (0, 1, 1, 3, 4, 4, 5)
+
+
 def resource_counts(c: Circuit) -> ResourceCounts:
     """Gate tallies.  Conditioned-block bodies are counted unconditionally,
     so the result is an outcome-independent upper bound."""
-    gates: list[Gate] = []
-    measurements = 0
-    for el in c.elements:
-        if isinstance(el, ConditionedBlock):
-            measurements += 1
-            gates.extend(el.body.elements)
+    tally = [0] * 7
+    _tally(tally, c, 1)
+    return ResourceCounts(*tally, qubits=c.qubit_count,
+                          auxiliary=(c.roles or ()).count("aux"))
+
+
+def _tally(tally: list[int], c: Circuit, times: int) -> None:
+    """Add the positions of ``c``, ``times`` times over, to the first seven
+    fields of :class:`ResourceCounts` in ``tally``, once per distinct element."""
+    field_of = _KINDS.index
+    for el, uses in zip(c.distinct, np.bincount(c.order).tolist()):
+        uses *= times
+        if type(el) is Gate:
+            tally[_FIELDS[field_of(el.kind)]] += uses
+            # A rotation is Clifford iff its angle's denominator is 1 or 2.
+            if el.angle is not None and el.angle.denominator > 2:
+                tally[2] += uses
         else:
-            gates.append(el)
-    kinds = [g.kind for g in gates]
-    # A rotation is Clifford iff its angle's denominator is 1 or 2.
-    denominators = [g.angle.denominator for g in gates if g.angle is not None]
-    return ResourceCounts(
-        cnot=kinds.count(GateKind.CNOT),
-        r1_total=len(denominators),
-        r1_non_clifford=len(denominators) - denominators.count(1) - denominators.count(2),
-        h=kinds.count(GateKind.H),
-        s=kinds.count(GateKind.S) + kinds.count(GateKind.SDG),
-        x=kinds.count(GateKind.X),
-        measurements=measurements,
-        qubits=c.qubit_count,
-        auxiliary=(c.roles or ()).count("aux"),
-    )
+            tally[6] += uses
+            _tally(tally, el.body, uses)
 
 
 def merge_s_gate(c: Circuit) -> Circuit:

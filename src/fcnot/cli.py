@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (verify: PASS), 1 verify FAIL, 2 malformed function
 text or bad usage, 3 unsupported size: a circuit too large to verify, or a
-text diagram that would exceed ``DIAGRAM_BYTES``.  All randomized behavior
+text diagram that would exceed ``DIAGRAM_BYTES``, and 141 when the reader of
+standard output closes it early (as ``| head`` does).  All randomized behavior
 is seed-determined; identical invocations produce identical bytes.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -22,6 +24,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
+#: 128 + SIGPIPE, the status of a shell tool whose output pipe was closed.
+EXIT_PIPE = 141
 
 _VERDICT_EXIT = {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "UNVERIFIABLE": EXIT_SIZE}
 
@@ -199,10 +203,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func_impl(args)
+        status = args.func_impl(args)
+        sys.stdout.flush()  # so a closed pipe is met here
     except boolfn.ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # Output still buffered goes to devnull: the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return status
 
 
 if __name__ == "__main__":

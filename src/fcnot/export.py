@@ -58,48 +58,38 @@ def _label(gate: Gate) -> str:
 def _shapes(c: Circuit) -> tuple[np.ndarray, np.ndarray, str]:
     """Each distinct shape of ``c`` once, and the shape at every position.
 
-    A shape is a gate, a measurement, or a gate hanging off a measured row.
-    Constructions share gate objects, so shapes are keyed by ``id``: each
-    distinct gate once, and each distinct gate of a block body once per
-    measured row.  Returns ``placed``, the shapes in drawing order;
-    ``table``, one column per shape: its row span ``lo, hi``, 1 if it hangs
-    off a measured row (row j) else 0, then its three cells' rows, text
-    lengths and text offsets into ``pool``; and ``pool``.  The cells are a
-    (a control, or the one cell), b (a target, or a again) and j (the row
-    the shape hangs off, or a again), drawn as a junction only where the
-    gate misses that row; a cell of text length 0 is not drawn.  The first
-    cell is the widest, and the cells' rows include both ends of the span.
+    A shape is a gate, a measurement, or a gate hanging off a measured row:
+    each of ``c.distinct`` (a block as its measurement), then each of a
+    distinct block's ``body.distinct``.  Returns ``placed``, the shapes in
+    drawing order; ``table``, one column per shape: its row span ``lo, hi``,
+    1 if it hangs off a measured row (row j) else 0, then its three cells'
+    rows, text lengths and text offsets into ``pool``; and ``pool``.  The
+    cells are a (a control, or the one cell), b (a target, or a again) and j
+    (the row the shape hangs off, or a again), drawn as a junction only where
+    the gate misses that row; a cell of text length 0 is not drawn.  The
+    first cell is the widest, and the cells' rows include both ends of the
+    span.
     """
-    ids = [*map(id, c.elements)]
-    distinct = dict(zip(ids, c.elements))
-    placed = np.fromiter(map(dict(zip(distinct, range(len(distinct)))).__getitem__, ids),
-                         np.intp, len(ids))
-    # Shapes: each distinct element (a block as its measurement), then each
-    # distinct gate of a block's body per measured row, hanging off it.
-    cnot, first = GateKind.CNOT, len(distinct)
+    placed = c.order
+    cnot, first = GateKind.CNOT, len(c.distinct)
     cells = [(el.measured_qubit,) if isinstance(el, ConditionedBlock) else el.qubits
-             for el in distinct.values()]
+             for el in c.distinct]
     texts = ["M" if isinstance(el, ConditionedBlock) else "●" if el.kind is cnot
-             else _label(el) for el in distinct.values()]
-    on, junction, by_row, bodies = [], [], {}, {}
-    blocks = [(shape, el) for shape, el in enumerate(distinct.values())
-              if isinstance(el, ConditionedBlock)]
-    for shape, block in blocks:
-        q, body = block.measured_qubit, block.body.elements
-        body_ids = [*map(id, body)]
-        hang = by_row.setdefault(q, {})
-        new = {key: g for key, g in dict(zip(body_ids, body)).items() if key not in hang}
-        hang.update(zip(new, range(len(cells), len(cells) + len(new))))
-        cells += map(attrgetter("qubits"), new.values())
-        texts += ["●" if g.kind is cnot else _label(g) for g in new.values()]
-        on += [q] * len(new)
-        junction += [q not in g.qubits for g in new.values()]
-        bodies[shape] = [*map(hang.__getitem__, body_ids)]
+             else _label(el) for el in c.distinct]
+    on, junction, bodies = [], [], {}
+    for shape, block in enumerate(c.distinct):
+        if not isinstance(block, ConditionedBlock):
+            continue
+        q, gates = block.measured_qubit, block.body.distinct
+        bodies[shape] = (block.body.order + len(cells)).tolist()
+        cells += map(attrgetter("qubits"), gates)
+        texts += ["●" if g.kind is cnot else _label(g) for g in gates]
+        on += [q] * len(gates)
+        junction += [q not in g.qubits for g in gates]
     if bodies:
         # Each block's body follows its measurement.
         placed = np.fromiter(chain.from_iterable(
             (shape, *bodies.get(shape, ())) for shape in placed.tolist()), np.intp)
-    del ids, distinct, blocks  # no longer needed while the table is built
     count = len(cells)
     table = np.zeros((12, count), np.intp)
     lo, hi, a, b, j = table[0], table[1], table[3], table[4], table[5]
@@ -277,35 +267,29 @@ def to_qasm(c: Circuit) -> str:
     Rotations appear as a phase gate ``p(<k>*pi/<2**j>)``; adjoint
     rotations are canonicalized to a negated numerator.  A conditioned
     block becomes a ``measure`` into the single classical bit followed by
-    an ``if (c[0] == 1) { ... }`` region.
+    an ``if (c[0] == 1) { ... }`` region.  Each distinct element of the
+    circuit (and of a block's body) is formatted once, and the texts are
+    joined in circuit order.
     """
-    lines = [f"qubit q[{c.qubit_count}];", "bit c[1];"]
-    # Constructions share gate objects, so each distinct one is formatted
-    # once; ids are stable while ``c`` holds the gates.
-    formatted: dict[int, str] = {}
-    cnot_kind, r1_kind = GateKind.CNOT, GateKind.R1
+    return f"qubit q[{c.qubit_count}];\nbit c[1];\n{_qasm_lines(c, '')}"
 
-    def gate_line(gate: Gate) -> str:
-        line = formatted.get(id(gate))
-        if line is not None:
-            return line
-        kind = gate.kind
-        if kind is cnot_kind:
-            line = f"cx q[{gate.qubits[0]}],q[{gate.qubits[1]}];"
-        elif gate.angle is not None:
-            num = gate.angle.numerator if kind is r1_kind else -gate.angle.numerator
-            line = f"p({num}*pi/{gate.angle.denominator}) q[{gate.qubits[0]}];"
-        else:
-            line = f"{kind.value} q[{gate.qubits[0]}];"
-        formatted[id(gate)] = line
-        return line
 
-    for el in c.elements:
+def _qasm_lines(c: Circuit, indent: str) -> str:
+    """The lines of ``c``'s elements, each after ``indent`` and ending in a
+    newline."""
+    texts = []
+    for el in c.distinct:
         if isinstance(el, ConditionedBlock):
-            lines.append(f"measure q[{el.measured_qubit}] -> c[0];")
-            lines.append("if (c[0] == 1) {")
-            lines.extend(["  " + gate_line(g) for g in el.body.elements])
-            lines.append("}")
+            texts.append(f"measure q[{el.measured_qubit}] -> c[0];\nif (c[0] == 1) {{\n"
+                         f"{_qasm_lines(el.body, '  ')}}}\n")
+            continue
+        kind = el.kind
+        if kind is GateKind.CNOT:
+            line = f"cx q[{el.qubits[0]}],q[{el.qubits[1]}];"
+        elif el.angle is not None:
+            num = el.angle.numerator if kind is GateKind.R1 else -el.angle.numerator
+            line = f"p({num}*pi/{el.angle.denominator}) q[{el.qubits[0]}];"
         else:
-            lines.append(gate_line(el))
-    return "\n".join(lines) + "\n"
+            line = f"{kind.value} q[{el.qubits[0]}];"
+        texts.append(f"{indent}{line}\n")
+    return "".join(map(texts.__getitem__, c.order.tolist()))

@@ -511,11 +511,12 @@ class _Plan:
     constant; between runs a live wire's mask is its own slot and any
     other wire's is 0.  A CNOT XORs the control's mask into the target's,
     an X flips bit 0, and a phase gate adds its exponent (a power of ``w =
-    exp(i pi / 2**_MAX_K)``, computed once per distinct gate object) to its
-    wire's current mask in a table; a Hadamard or a block ends the run, and
-    only the wires a CNOT or X changed are looked at again.  ``work`` is
-    the row updates of the plan with every step seeing the most rows it
-    can, ``inputs << (Hadamards before it)``.
+    exp(i pi / 2**_MAX_K)``, computed when the pass first meets that
+    distinct gate of the circuit or block body) to its wire's current mask
+    in a table; a Hadamard or a block ends the run, and only the wires a
+    CNOT or X changed are looked at again.  ``work`` is the row updates of
+    the plan with every step seeing the most rows it can, ``inputs <<
+    (Hadamards before it)``.
 
     The pass raises :class:`_Refused` at the first of two points: the work,
     counted once per word of a row, passes ``WORK_BOUND`` at the end of a
@@ -530,10 +531,9 @@ class _Plan:
         self.masks = [0] * circuit.qubit_count
         for q, s in self.slot.items():
             self.masks[q] = 2 << s
-        self.exponents: dict[int, int] = {}
         self.rows = inputs
         self.work = 0
-        self.steps = self._steps(circuit.elements)
+        self.steps = self._steps(circuit)
 
     @property
     def words(self) -> int:
@@ -547,12 +547,13 @@ class _Plan:
         self.live.add(q)
         self.masks[q] = 2 << self._slot_of(q)
 
-    def _steps(self, elements) -> list:
+    def _steps(self, circuit: Circuit) -> list:
         steps: list = []
-        masks, exponents, live = self.masks, self.exponents, self.live
+        masks, live = self.masks, self.live
+        exponents: list[int | None] = [None] * len(circuit.distinct)
         acc: dict[int, int] = {}
         changed: set[int] = set()
-        for el in elements:
+        for i, el in zip(circuit.order.tolist(), circuit.elements):
             if type(el) is Gate:
                 kind = el.kind
                 if kind is _CNOT:
@@ -566,9 +567,9 @@ class _Plan:
                     changed.add(q)
                     continue
                 if kind is not _H:
-                    e = exponents.get(id(el))
+                    e = exponents[i]
                     if e is None:
-                        e = exponents[id(el)] = _phase_exponent(el)
+                        e = exponents[i] = _phase_exponent(el)
                     m = masks[el.qubits[0]]
                     acc[m] = acc.get(m, 0) + e
                     continue
@@ -582,7 +583,7 @@ class _Plan:
             else:
                 before = set(live)
                 slot = self._slot_of(el.measured_qubit)
-                steps.append(_Block(el.measured_qubit, slot, self._steps(el.body.elements)))
+                steps.append(_Block(el.measured_qubit, slot, self._steps(el.body)))
                 # the outcome-0 rows skip the body, so its dead wires live on
                 for q in before - live:
                     self._go_live(q)

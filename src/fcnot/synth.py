@@ -40,16 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
 
-from .boolfn import (
-    AngleTable,
-    SpectralData,
-    TruthTable,
-    angles,
-    gray_code,
-    mu,
-    spectrum,
-    trailing_bit,
-)
+from .boolfn import SpectralData, TruthTable, gray_code, mu, spectrum, trailing_bit
 from .circuit import (
     Circuit,
     ConditionedBlock,
@@ -152,7 +143,10 @@ def _synthesize(sd: SpectralData, kind: ConstructionKind) -> SynthesisResult:
     contract = kind.target_contract
     uncompute = contract is TargetContract.F_OF_X
     coefficients = sd.coefficients.tolist()
-    angle_of = _angle_of(coefficients, angles(sd), doubled=uncompute)
+    # theta_j = s_j * pi / 2**(n+1), doubled for the |f(x)> contract, made
+    # once per distinct s_j: a few hundred even at n = 16.
+    den = 1 << (sd.n if uncompute else sd.n + 1)
+    angle_of = {v: Fraction(v, den) for v in set(coefficients)}
     schedule = _depth1 if kind.depth1 else _low_width
     layout, qubits, body = schedule(sd.n, coefficients, angle_of,
                                     inputs=contract is not TargetContract.ZERO,
@@ -225,15 +219,6 @@ def _depth1(n: int, coefficients: list[int], angle_of: dict[int, Fraction],
 
 # ---------------------------------------------------------------------------
 # Shared emission helpers
-
-
-def _angle_of(coefficients: list[int], table: AngleTable,
-              doubled: bool = False) -> dict[int, Fraction]:
-    """The angle theta_j of each distinct coefficient value s_j, doubled
-    if asked.  Only a few hundred distinct values occur even at n = 16,
-    so each angle is made once."""
-    angle_of = dict(zip(coefficients, table.angles))
-    return {value: a * 2 for value, a in angle_of.items()} if doubled else angle_of
 
 
 def _ladder(coefficients: list[int], angle_of: dict[int, Fraction], wire: int,

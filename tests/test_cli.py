@@ -1,9 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fcnot
 from fcnot import sim
 from fcnot.cli import main
 
@@ -274,3 +279,33 @@ def test_table_deterministic_bytes(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# a reader that stops early
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--func", "0x0:16"),
+    ("synth", "--func", "(x1 & x2 & ~x3) ^ x7", "--construction", "general-depth1"),
+    ("synth", "--func", "(x1 & x2 & ~x3) ^ x12", "--construction", "anddg-depth1",
+     "--out", "qasm"),
+])
+def test_closed_output_pipe_ends_quietly(argv):
+    """Closing standard output after one line, as ``| head -1`` does, ends
+    the command with status 141 and nothing on standard error.  Every output
+    is far larger than a pipe holds, so the closed pipe is always met.  Output
+    is buffered, as by default: unbuffered (``PYTHONUNBUFFERED``), the
+    interpreter drops the rest of a single write cut short by the closed pipe
+    without an error, so the command may never meet it."""
+    src = str(Path(fcnot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "fcnot.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 141

@@ -7,18 +7,22 @@ import pytest
 
 from fcnot.boolfn import TruthTable, spectrum
 from fcnot.circuit import (
+    Circuit,
+    ConditionedBlock,
     Gate,
     GateKind,
     cnot,
     compose,
     h,
+    r1,
     r1dg,
     resource_counts,
     rotation_depth,
     s,
 )
+from fcnot.export import diagram_bytes_floor, to_qasm, to_text_diagram
 from fcnot.sim import StateVector, apply, oracle, verify
-from fcnot.synth import ConstructionKind, synthesize
+from fcnot.synth import ConstructionKind, Layout, SynthesisResult, synthesize
 
 AND2 = TruthTable.from_value(2, 0b1000)
 
@@ -391,8 +395,6 @@ def test_repeated_synthesis_is_unaffected_by_shared_gates():
     """Synthesizing f, then g, then f again at the same n gives the same
     bytes: gates shared within a call and schedules cached across calls
     leak nothing from one call into the next."""
-    from fcnot.export import to_qasm
-
     rng = np.random.default_rng(31)
     for n in (3, 5):
         f, g = (TruthTable(n, tuple(rng.integers(0, 2, size=1 << n).tolist()))
@@ -403,3 +405,88 @@ def test_repeated_synthesis_is_unaffected_by_shared_gates():
             again = to_qasm(synthesize(f, kind).circuit)
             assert again == first
             assert other != first
+
+
+def _fresh(c: Circuit) -> Circuit:
+    """``c`` with every element and every block-body gate replaced by a
+    fresh equal object, so no two positions share one."""
+    def gate(g: Gate) -> Gate:
+        return Gate(g.kind, g.qubits, g.angle)
+
+    return Circuit(c.qubit_count, tuple(
+        ConditionedBlock(el.measured_qubit, Circuit(
+            el.body.qubit_count, tuple(map(gate, el.body.elements)), el.body.roles))
+        if isinstance(el, ConditionedBlock) else gate(el) for el in c.elements), c.roles)
+
+
+def _assert_grouped(c: Circuit) -> None:
+    """``distinct`` holds each element object once, in order of first
+    appearance, and ``order`` points every position at its object; the same
+    holds for every block body."""
+    assert [*map(id, c.distinct)] == [*dict.fromkeys(map(id, c.elements))]
+    assert c.order.dtype == np.intp and c.order.shape == (len(c.elements),)
+    assert all(c.distinct[i] is el for i, el in zip(c.order.tolist(), c.elements))
+    for el in c.distinct:
+        if isinstance(el, ConditionedBlock):
+            _assert_grouped(el.body)
+
+
+def _assert_same_output(shared: Circuit, fresh: Circuit) -> None:
+    assert fresh == shared and hash(fresh) == hash(shared)
+    assert to_qasm(fresh) == to_qasm(shared)
+    for columns in (None, 4):
+        assert (to_text_diagram(fresh, max_columns=columns)
+                == to_text_diagram(shared, max_columns=columns))
+    assert diagram_bytes_floor(fresh) == diagram_bytes_floor(shared)
+    assert resource_counts(fresh) == resource_counts(shared)
+    assert rotation_depth(fresh) == rotation_depth(shared)
+
+
+@pytest.mark.parametrize("kind", list(ConstructionKind))
+def test_shared_gates_give_the_output_of_fresh_ones(kind):
+    """Every consumer reads ``Circuit.distinct`` and ``Circuit.order``, so a
+    circuit whose positions share gate objects exports, counts and verifies
+    exactly as one built from fresh equal objects at every position."""
+    rng = np.random.default_rng(47)
+    tables = [TruthTable(n, tuple(rng.integers(0, 2, size=1 << n).tolist()))
+              for n in range(1, 6)] + [and_n(4)]
+    shares = False
+    for f in tables:
+        result = synthesize(f, kind)
+        shared, fresh = result.circuit, _fresh(result.circuit)
+        _assert_grouped(shared)
+        _assert_grouped(fresh)
+        assert fresh.distinct == fresh.elements
+        shares |= len(shared.distinct) < len(shared.elements) or any(
+            len(el.body.distinct) < len(el.body.elements)
+            for el in shared.distinct if isinstance(el, ConditionedBlock))
+        _assert_same_output(shared, fresh)
+        again = SynthesisResult(kind, fresh, result.layout)
+        assert again.metrics() == result.metrics()
+        assert verify(again, f).to_json() == verify(result, f).to_json()
+    assert shares
+
+
+def test_hand_built_circuit_repeating_a_block_is_grouped_by_object():
+    """A block placed twice is one distinct element; a second block on the
+    same row shares gates with it; equal gates built apart stay apart."""
+    z, t, g = h(0), cnot(1, 2), r1(Fraction(1, 4), 2)
+    block = ConditionedBlock(0, Circuit(3, (g, t, g, h(2), t)))
+    other = ConditionedBlock(0, Circuit(3, (t, g)))
+    c = Circuit(3, (z, block, g, block, other, h(0), z))
+    assert c.distinct == (z, block, g, other, h(0))
+    assert c.distinct[4] is c.elements[5] and c.distinct[0] is z
+    assert c.order.tolist() == [0, 1, 2, 1, 3, 4, 0]
+    assert block.body.order.tolist() == [0, 1, 0, 2, 1]
+    assert other.body.order.tolist() == [0, 1]
+    _assert_grouped(c)
+    _assert_same_output(c, _fresh(c))
+    assert resource_counts(c).measurements == 3
+    assert resource_counts(c).cnot == 5
+    layout = Layout(controls=(1,), target=2, aux=(0,))
+    reports = [verify(SynthesisResult(ConstructionKind.GENERAL_LOW_WIDTH, circuit, layout),
+                      TruthTable.from_value(1, 0b10)).to_json()
+               for circuit in (c, _fresh(c))]
+    assert reports[0] == reports[1]
+    empty = Circuit(2)
+    assert empty.distinct == () and empty.order.tolist() == []
