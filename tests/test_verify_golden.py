@@ -4,8 +4,9 @@
 group of cases: every function at n <= 3 and its negated-rotation mutants
 at n <= 2, seeded random tables at n = 4..8 with a few mutants each, per
 construction; and one per hand-built circuit (S and Sdg, idle Hadamards,
-rows wider than 64 wires, rotations down to and past ``pi / 2**62``, and
-the work bound).  It pins verdicts, counterexample texts, infidelities and
+Hadamards after a measured block and three in a row on one wire, rows
+wider than 64 wires, rotations down to and past ``pi / 2**62``, and the
+work bound).  It pins verdicts, counterexample texts, infidelities and
 counters byte for byte, so a rewrite of the verifier must reproduce the
 old reports exactly.  Print the table for the current code with
 ``PYTHONPATH=src python tests/test_verify_golden.py``; replace the
@@ -117,6 +118,10 @@ def hand_built() -> dict[str, tuple[SynthesisResult, TruthTable]]:
         "idle-h": _with(low, body + (h(3),), idle, 5),
         "idle-h-h": _with(low, (h(3),) + body + (h(3),), idle, 5),
         "idle-h-x": _with(low, (h(4), x(4)) + body + (h(4),), idle, 5),
+        "h-h-after-block": _with(blocked, blocked.circuit.elements + (h(0), h(0))),
+        "h-h-after-idle-block": _with(low, body + (ConditionedBlock(3, Circuit(5, (x(4),))),
+                                                   h(0), h(0)), idle, 5),
+        "h-h-h": _with(low, (h(0), h(0), h(0)) + body),
         "over-bound": _with(low, tuple(h(q) for q in over.aux) + body, over, 43),
         "fine-before-bound": _with(low, (r1(angles[-1], 0),) + tuple(h(q) for q in over.aux)
                                    + body, over, 43),
