@@ -125,18 +125,39 @@ def pm_one_vector(f: TruthTable) -> np.ndarray:
     return 1 - 2 * np.asarray(f.bits, dtype=np.int64)
 
 
-def walsh_hadamard(v) -> np.ndarray:
-    """Hadamard transform of an integer vector of power-of-two length.
+#: Longest vector whose transform is one product with the Sylvester matrix,
+#: one numpy call in place of the butterfly's ``n`` rounds of calls.  Longer
+#: vectors keep the butterfly: the product's ``4**n`` multiplications
+#: outgrow its ``n * 2**n`` additions.
+_PRODUCT_MAX = 64
 
-    Computed in place in ``O(n * 2**n)`` integer additions, as one
-    vectorised butterfly ``(lo, hi) -> (lo + hi, lo - hi)`` per bit of the
-    index: for bit b, ``lo`` and ``hi`` are the entries with that bit clear
-    and set, as views of the vector reshaped to ``(-1, 2, 2**b)``.
-    Self-inverse up to the factor ``2**n``.
+
+@lru_cache(maxsize=None)
+def _sylvester(size: int) -> np.ndarray:
+    """The ``size x size`` Hadamard matrix ``(-1)**popcount(i & j)`` as
+    uint64, where -1 is ``2**64 - 1``: unsigned products wrap modulo
+    ``2**64``, as the butterfly's int64 sums do."""
+    i = np.arange(size, dtype=np.uint64)
+    odd = np.bitwise_count(i[:, None] & i) & np.uint64(1)
+    return np.uint64(1) - (odd << np.uint64(1))
+
+
+def walsh_hadamard(v) -> np.ndarray:
+    """Hadamard transform of an integer vector of power-of-two length,
+    exact modulo ``2**64`` (values that overflow int64 wrap).
+
+    Up to ``_PRODUCT_MAX`` entries it is one product with the cached
+    Sylvester matrix.  Longer vectors are transformed in place in ``O(n *
+    2**n)`` integer additions, as one vectorised butterfly ``(lo, hi) ->
+    (lo + hi, lo - hi)`` per bit of the index: for bit b, ``lo`` and ``hi``
+    are the entries with that bit clear and set, as views of the vector
+    reshaped to ``(-1, 2, 2**b)``.  Self-inverse up to the factor ``2**n``.
     """
     a = np.array(v, dtype=np.int64)
     if a.ndim != 1 or a.size == 0 or a.size & (a.size - 1):
         raise ValueError("length must be a positive power of two")
+    if a.size <= _PRODUCT_MAX:
+        return (_sylvester(a.size) @ a.view(np.uint64)).view(np.int64)
     for b in range(a.size.bit_length() - 1):
         lo, hi = a.reshape(-1, 2, 1 << b).swapaxes(0, 1)
         lo += hi

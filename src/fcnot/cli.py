@@ -35,6 +35,24 @@ _VERDICT_EXIT = {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "UNVERIFIABLE": EXIT_SIZE}
 DIAGRAM_BYTES = 1 << 27
 
 
+class _Stdout:
+    """Standard output as the commands write it: each text is encoded as
+    ``sys.stdout`` encodes it and handed in full to the byte stream below.
+    Unbuffered (``python -u``, ``PYTHONUNBUFFERED``) that stream is the raw
+    file, whose write into a pipe may take only part of the bytes, and the
+    text layer drops the rest without an error, so the reader closing the
+    pipe could go unseen.  Here the rest is written again, and meets the
+    closed pipe."""
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
+
+
+_STDOUT = _Stdout()
+
+
 def _construction(name: str) -> synth.ConstructionKind:
     try:
         return synth.ConstructionKind(name)
@@ -61,14 +79,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.merge_s:
         circuit = merge_s_gate(circuit)
     if args.out == "qasm":
-        sys.stdout.write(export.to_qasm(circuit))
+        _STDOUT.write(export.to_qasm(circuit))
         return EXIT_OK
     size = export.diagram_bytes_floor(circuit)
     if size > DIAGRAM_BYTES:
         print(f"error: the text diagram would take at least {size} bytes, over the "
               f"{DIAGRAM_BYTES}-byte bound; use --out qasm", file=sys.stderr)
         return EXIT_SIZE
-    print(export.to_text_diagram(circuit, max_columns=args.max_columns))
+    _STDOUT.write(export.to_text_diagram(circuit, max_columns=args.max_columns))
+    _STDOUT.write("\n")
     return EXIT_OK
 
 
@@ -76,14 +95,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     f = boolfn.parse_function(args.func)
     result = synth.synthesize(f, args.construction)
     report = sim.verify(result, f, seed=args.seed)
-    print(report.to_json())
+    _STDOUT.write(report.to_json() + "\n")
     return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     f = boolfn.parse_function(args.func)
     result = synth.synthesize(f, args.construction)
-    print(json.dumps(result.metrics()))
+    _STDOUT.write(json.dumps(result.metrics()) + "\n")
     return EXIT_OK
 
 
@@ -102,8 +121,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             )
         )
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    _STDOUT.write("".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                         + "\n" for row in rows))
     return EXIT_OK
 
 
@@ -132,7 +151,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         tables = (boolfn.TruthTable(n, tuple(rng.integers(0, 2, size=1 << n).tolist()))
                   for _ in range(args.sample))
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer = csv.writer(_STDOUT, lineterminator="\n")
     writer.writerow(
         ["function", "qubits", "ancillas", "cnot", "r1_total",
          "r1_non_clifford", "rotation_depth", "measurements", "verify"]

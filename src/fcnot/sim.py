@@ -269,51 +269,6 @@ class VerificationReport:
         return json.dumps(asdict(self))
 
 
-_FIELDS = ("branch", "inp", "idx", "h", "e", "coef")
-
-
-@dataclass
-class _Terms:
-    """Path-sum rows of all legal inputs at once.
-
-    Row r is the term ``coef * w**e / sqrt(2)**h`` on basis index ``idx[r]``
-    for input number ``inp[r]`` in measurement branch ``branch[r]``, where
-    ``w = exp(i pi / 2**62)`` for every circuit: each angle verify() takes
-    on is a multiple of ``pi / 2**62``.  Rows hold only the plan's slots,
-    the wires that can be nonzero at some step boundary; every other wire
-    is |0> there.  Slot s is bit ``s % 64`` of the uint64 word ``idx[r, s
-    // 64]``.  Phases add to the uint64 ``e``, which only has to be right
-    modulo the period ``2**63`` of ``w``.  Since ``w**(2**62) = -1``, the
-    powers ``w**0 .. w**(2**62 - 1)`` are an integer basis of the
-    amplitudes: before each merge and at the end, ``e`` is reduced into
-    ``[0, 2**62)`` and one row kept per (branch, inp, idx, e) with a
-    nonzero coefficient, which makes the form canonical, so amplitudes
-    compare exactly.
-    """
-
-    branch: np.ndarray
-    inp: np.ndarray
-    idx: np.ndarray
-    h: np.ndarray
-    e: np.ndarray
-    coef: np.ndarray
-
-    def select(self, rows) -> "_Terms":
-        return _Terms(*(getattr(self, name)[rows] for name in _FIELDS))
-
-    def join(self, other: "_Terms") -> "_Terms":
-        return _Terms(*(np.concatenate((getattr(self, name), getattr(other, name)))
-                        for name in _FIELDS))
-
-    def bit(self, s: int) -> np.ndarray:
-        return (self.idx[:, s >> 6] >> (s & 63)) & 1
-
-    def terms(self, rows) -> np.ndarray:
-        """The complex value of each term at ``rows``."""
-        phases = np.exp(1j * math.pi * self.e[rows] / (1 << _MAX_K))
-        return self.coef[rows] * phases / math.sqrt(2.0) ** self.h[rows]
-
-
 _H, _X, _CNOT = GateKind.H, GateKind.X, GateKind.CNOT
 _ONE = np.uint64(1)
 
@@ -321,6 +276,57 @@ _ONE = np.uint64(1)
 #: and phases are powers of ``w = exp(i pi / 2**_MAX_K)``, of period _PERIOD.
 _MAX_K = 62
 _PERIOD = 2 << _MAX_K
+_SIGN, _LOW = np.uint64(1 << _MAX_K), np.uint64((1 << _MAX_K) - 1)
+
+
+# The path-sum rows of all legal inputs at once, as one uint64 matrix held
+# field-major: path-sum row r is column r, and each field is one matrix row,
+# contiguous for the row work, so that a Hadamard's repeat, a merge's gather
+# and a block's split and join each take one call.  Column r is the term
+# ``coef * w**e / sqrt(2)**h`` on the basis index ``idx`` for input number
+# ``inp`` in measurement branch ``branch``, where ``w = exp(i pi / 2**62)``
+# for every circuit: each angle verify() takes on is a multiple of ``pi /
+# 2**62``.  The matrix rows are ``branch``, ``inp``, ``e``, then the words
+# of ``idx``, then ``h`` and ``coef`` (an int64 bit pattern), so the leading
+# rows ``t[:_H_ROW]`` are a merge's sort keys in order.  Rows hold only the
+# plan's slots, the wires that can be nonzero at some step boundary; every
+# other wire is |0> there.  Slot s is bit ``s % 64`` of matrix row ``_IDX +
+# s // 64``.  Phases add to ``e``, which only has to be right modulo the
+# period ``2**63`` of ``w``.  Since ``w**(2**62) = -1``, the powers ``w**0 ..
+# w**(2**62 - 1)`` are an integer basis of the amplitudes: before each merge
+# and at the end, ``e`` is reduced into ``[0, 2**62)`` and one row kept per
+# (branch, inp, e, idx) with a nonzero coefficient, which makes the form
+# canonical, so amplitudes compare exactly.
+_BRANCH, _INP, _E, _IDX = 0, 1, 2, 3
+_H_ROW, _COEF = -2, -1
+
+#: Matrix rows besides the idx words.
+_FIELDS = 5
+
+
+def _rows(idx: np.ndarray) -> np.ndarray:
+    """One path-sum row per input, input number i on the basis index
+    ``idx[:, i]`` (words by slot) with coefficient 1, in branch 0."""
+    t = np.zeros((_FIELDS + len(idx), idx.shape[1]), dtype=np.uint64)
+    t[_INP] = np.arange(idx.shape[1])
+    t[_IDX:_H_ROW] = idx
+    t[_COEF] = 1
+    return t
+
+
+def _coef(t: np.ndarray) -> np.ndarray:
+    return t[_COEF].view(np.int64)
+
+
+def _bit(t: np.ndarray, s: int) -> np.ndarray:
+    return (t[_IDX + (s >> 6)] >> (s & 63)) & _ONE
+
+
+def _values(t: np.ndarray, cols) -> np.ndarray:
+    """The complex value of each term at ``cols``."""
+    t = t[:, cols]
+    phases = np.exp(1j * math.pi * t[_E] / (1 << _MAX_K))
+    return _coef(t) * phases / math.sqrt(2.0) ** t[_H_ROW]
 
 
 class _Refused(Exception):
@@ -343,76 +349,75 @@ def _phase_exponent(g: Gate) -> int:
     return (step if g.kind is GateKind.R1 else -step) % _PERIOD
 
 
-def _canonical(t: _Terms) -> None:
+def _canonical(t: np.ndarray) -> None:
     """Reduce every ``e`` into ``[0, 2**_MAX_K)``, moving ``w**(2**_MAX_K) =
     -1`` into the sign of ``coef``."""
-    flip = ((t.e >> _MAX_K) & 1).astype(bool)
-    t.coef = np.where(flip, -t.coef, t.coef)
-    t.e &= (1 << _MAX_K) - 1
+    coef = _coef(t)
+    np.negative(coef, out=coef, where=(t[_E] & _SIGN) != 0)
+    t[_E] &= _LOW
 
 
-def _merge(t: _Terms) -> _Terms:
-    """Sum the rows that share (branch, inp, idx, e) and drop zero rows."""
+def _merge(t: np.ndarray) -> np.ndarray:
+    """Sum the rows that share (branch, inp, e, idx) and drop zero rows."""
     _canonical(t)
-    t = t.select(np.lexsort((*t.idx.T[::-1], t.e, t.inp, t.branch)))
-    new = np.ones(t.e.size, dtype=bool)
-    new[1:] = ((t.idx[1:] != t.idx[:-1]).any(axis=1) | (t.e[1:] != t.e[:-1])
-               | (t.inp[1:] != t.inp[:-1]) | (t.branch[1:] != t.branch[:-1]))
-    starts = np.flatnonzero(new)
-    coef = np.add.reduceat(t.coef, starts)
+    t = t.take(np.lexsort(t[_H_ROW - 1::-1]), axis=1)
+    keys = t[:_H_ROW]
+    new = np.empty(t.shape[1], dtype=bool)
+    new[:1] = True
+    (keys[:, 1:] != keys[:, :-1]).any(axis=0, out=new[1:])
+    starts = new.nonzero()[0]
+    coef = np.add.reduceat(_coef(t), starts)
     keep = coef != 0
-    t = t.select(starts[keep])
-    t.coef = coef[keep]
+    t = t.take(starts[keep], axis=1)
+    t[_COEF] = coef[keep]
     return t
 
 
-def _h_rows(t: _Terms, s: int) -> _Terms:
+def _hadamard(t: np.ndarray, s: int) -> np.ndarray:
     """H on slot s of every row, unmerged: row r becomes rows 2r (slot s
     clear) and 2r + 1 (slot s set, sign flipped where s was set)."""
-    word, bit = s >> 6, np.uint64(1 << (s & 63))
-    idx = t.idx.repeat(2, axis=0)
-    idx[0::2, word] &= ~bit
-    idx[1::2, word] |= bit
-    coef = t.coef.repeat(2)
-    coef[1::2] *= 1 - 2 * t.bit(s).astype(np.int64)
-    return _Terms(t.branch.repeat(2), t.inp.repeat(2), idx, t.h.repeat(2) + 1,
-                  t.e.repeat(2), coef)
-
-
-def _hadamard(t: _Terms, s: int) -> _Terms:
-    """Apply H to slot s of every row; returns the merged new rows."""
-    if not t.branch.any() and (t.inp[1:] > t.inp[:-1]).all():
-        # One row per input, in input order, as before the first Hadamard:
-        # no two new rows share an index, and with each row's halves side
-        # by side they are already in merged order.
-        new = _h_rows(t, s)
-        _canonical(new)
-        return new
-    # no name holds the unmerged rows, so _merge can free them as it sorts
-    return _merge(_h_rows(t, s))
+    word, bit = _IDX + (s >> 6), np.uint64(1 << (s & 63))
+    new = t.repeat(2, axis=1)
+    new[word, 0::2] &= ~bit
+    new[word, 1::2] |= bit
+    new[_H_ROW] += _ONE
+    coef = new[_COEF, 1::2].view(np.int64)
+    np.negative(coef, out=coef, where=(t[word] & bit) != 0)
+    return new
 
 
 def _words(masks: list[int], words: int) -> np.ndarray:
-    """Slot masks as rows of uint64 words, laid out like ``_Terms.idx``."""
+    """Slot masks as columns of uint64 words, laid out like the idx rows of
+    the path-sum matrix: word j of mask i is ``[j, i]``."""
+    if words == 1:
+        return np.array(masks, dtype=np.uint64)[None]
     data = b"".join(m.to_bytes(8 * words, "little") for m in masks)
-    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, words).T
 
 
 def _parity(idx: np.ndarray, masks: list[int]) -> np.ndarray:
-    """The uint64 parities ``popcount(idx[r] & masks[j]) % 2``, shaped
-    (rows, masks).  The words are folded by XOR, which keeps the parity,
-    so no (rows, masks, words) array is made."""
-    m = _words(masks, idx.shape[1])
-    folded = reduce(np.bitwise_xor, (idx[:, j, None] & m[:, j] for j in range(idx.shape[1])))
+    """The uint64 parities ``popcount(idx[:, r] & masks[j]) % 2`` of the
+    idx words, shaped (masks, rows).  The words are folded by XOR, which
+    keeps the parity, so no (words, masks, rows) array is made."""
+    m = _words(masks, len(idx))
+    folded = reduce(np.bitwise_xor, (m[j, :, None] & idx[j] for j in range(len(idx))))
     return np.bitwise_count(folded) & _ONE
 
 
 def _gather(a: np.ndarray, slots: list[int]) -> np.ndarray:
-    """Pack the bits of each row of words ``a`` at the ascending ``slots``
-    into one integer per row."""
-    out = np.zeros(len(a), dtype=np.uint64)
-    for j, s in enumerate(slots):
-        out |= ((a[:, s >> 6] >> (s & 63)) & 1) << j
+    """Pack the bits at the ascending ``slots`` of each column of words
+    ``a`` into one integer per column, a run of neighbouring slots in one
+    word at a time."""
+    out = np.zeros(a.shape[1], dtype=np.uint64)
+    j = 0
+    while j < len(slots):
+        s = slots[j]
+        width = 1
+        while (j + width < len(slots) and slots[j + width] == s + width
+               and (s + width) & 63):
+            width += 1
+        out |= ((a[s >> 6] >> (s & 63)) & ((1 << width) - 1)) << j
+        j += width
     return out
 
 
@@ -465,26 +470,27 @@ class _Run:
         use = transform + _TRANSFORM_START < direct
         return (transform if use else direct) + rows * len(self.slots), use
 
-    def apply(self, t: _Terms) -> int:
+    def apply(self, t: np.ndarray) -> int:
         """Apply the run to every row; returns the row updates done."""
-        cost, transform = self.cost(t.e.size)
+        cost, transform = self.cost(t.shape[1])
+        idx = t[_IDX:_H_ROW]
         masks = self.rewrites if transform else self.rewrites + self.masks
-        parity = _parity(t.idx, masks) if masks else None
+        parity = _parity(idx, masks) if masks else None
         if transform:
             table = np.zeros(1 << len(self.support), dtype=np.uint64)
-            masks = _words(self.masks, t.idx.shape[1])
-            table[_gather(masks, self.support)] = self.exponents
+            table[_gather(_words(self.masks, len(idx)), self.support)] = self.exponents
             spectrum = walsh_hadamard(table.view(np.int64)).view(np.uint64)
             # 2 * phase(z) is exact modulo 2**64, so phase(z) is exact
             # modulo 2**63, the period of w.
-            t.e += (table.sum() - spectrum)[_gather(t.idx, self.support)] >> 1
+            t[_E] += (table.sum() - spectrum)[_gather(idx, self.support)] >> _ONE
         elif self.masks:
-            t.e += parity[:, len(self.slots):] @ self.exponents
+            t[_E] += self.exponents @ parity[len(self.slots):]
         if self.constant:
-            t.e += self.constant
+            t[_E] += np.uint64(self.constant)
         for j, s in enumerate(self.slots):
-            t.idx[:, s >> 6] &= ~np.uint64(1 << (s & 63))
-            t.idx[:, s >> 6] |= (parity[:, j] ^ self.flips[j]) << (s & 63)
+            word = t[_IDX + (s >> 6)]
+            word &= ~np.uint64(1 << (s & 63))
+            word |= (parity[j] ^ np.uint64(self.flips[j])) << np.uint64(s & 63)
         return cost
 
 
@@ -501,7 +507,10 @@ class _Block:
 class _Plan:
     """The circuit as steps on compact rows, made by one static pass before
     any row work.  A step is a :class:`_Run`, a :class:`_Block` or, as an
-    int, a Hadamard on that slot.
+    int, a Hadamard on that slot.  The first Hadamard, if no block comes
+    before it, is written ``~slot``: the rows are still one per input, in
+    input order and all in branch 0, so its new rows need no merge, and
+    each input then holds two.
 
     The pass tracks which wires can be nonzero (``live``): the controls and
     the target at the start, each wire a Hadamard touches, and each wire a
@@ -514,9 +523,10 @@ class _Plan:
     exp(i pi / 2**_MAX_K)``, computed when the pass first meets that
     distinct gate of the circuit or block body) to its wire's current mask
     in a table; a Hadamard or a block ends the run, and only the wires a
-    CNOT or X changed are looked at again.  ``work`` is the row updates of
-    the plan with every step seeing the most rows it can, ``inputs <<
-    (Hadamards before it)``.
+    CNOT or X changed are looked at again.  A run that changes no phase
+    and no wire makes no step.  ``work`` is the row updates of the plan
+    with every step seeing the most rows it can, ``inputs << (Hadamards
+    before it)``.
 
     The pass raises :class:`_Refused` at the first of two points: the work,
     counted once per word of a row, passes ``WORK_BOUND`` at the end of a
@@ -533,6 +543,7 @@ class _Plan:
             self.masks[q] = 2 << s
         self.rows = inputs
         self.work = 0
+        self.fresh = True  # no Hadamard or block yet
         self.steps = self._steps(circuit)
 
     @property
@@ -579,8 +590,11 @@ class _Plan:
                 self._go_live(el.qubits[0])
                 self.work += 2 * self.rows
                 self.rows *= 2
-                steps.append(self.slot[el.qubits[0]])
+                slot = self.slot[el.qubits[0]]
+                steps.append(~slot if self.fresh else slot)
+                self.fresh = False
             else:
+                self.fresh = False
                 before = set(live)
                 slot = self._slot_of(el.measured_qubit)
                 steps.append(_Block(el.measured_qubit, slot, self._steps(el.body)))
@@ -591,113 +605,135 @@ class _Plan:
         return steps
 
     def _end_run(self, acc: dict[int, int], changed: set[int], steps: list) -> None:
-        phases: dict[int, int] = {}
-        constant = 0
-        for m, a in acc.items():
-            if m & 1:  # the wire holds 1 XOR parity: a phase on 1 - parity
-                constant += a
-                a = -a
-            if m > 1:
-                phases[m >> 1] = phases.get(m >> 1, 0) + a
-        phases = {m: a % _PERIOD for m, a in phases.items() if a % _PERIOD}
-        masks, live, slot = self.masks, self.live, self.slot
-        rewrites = {}
-        for q in sorted(changed):
-            m = masks[q]
-            if m != (2 << slot[q] if q in live else 0):
-                rewrites[self._slot_of(q)] = m
-        run = _Run(phases, constant % _PERIOD, rewrites)
-        if run.masks or run.constant or run.slots:
-            self.work += run.cost(self.rows)[0]
-            steps.append(run)
+        if acc or changed:
+            phases: dict[int, int] = {}
+            constant = 0
+            for m, a in acc.items():
+                if m & 1:  # the wire holds 1 XOR parity: a phase on 1 - parity
+                    constant += a
+                    a = -a
+                if m > 1:
+                    phases[m >> 1] = phases.get(m >> 1, 0) + a
+            phases = {m: a % _PERIOD for m, a in phases.items() if a % _PERIOD}
+            masks, live, slot = self.masks, self.live, self.slot
+            rewrites = {}
+            for q in sorted(changed):
+                m = masks[q]
+                if m != (2 << slot[q] if q in live else 0):
+                    rewrites[self._slot_of(q)] = m
+            if phases or constant % _PERIOD or rewrites:
+                run = _Run(phases, constant % _PERIOD, rewrites)
+                self.work += run.cost(self.rows)[0]
+                steps.append(run)
         if self.work * self.words > WORK_BOUND:
             raise _Refused(f"unverifiable at this size (at least {self.work * self.words}"
                            f" row updates > bound {WORK_BOUND})")
         for q in changed:
-            if masks[q]:
+            if self.masks[q]:
                 self._go_live(q)
             else:
-                live.discard(q)
+                self.live.discard(q)
 
 
-def _simulate(plan: _Plan, t: _Terms, inputs: int):
+def _simulate(plan: _Plan, t: np.ndarray, inputs: int):
     """Run the plan on the rows.  Returns (rows, the measurement outcomes
     of each branch id, peak rows held by one input, row updates done)."""
     peak = 1
     work = 0
     outcomes: list[dict[int, int]] = [{}]
 
-    def run(t: _Terms, steps, held_elsewhere) -> _Terms:
+    def run(t: np.ndarray, steps, held_elsewhere) -> np.ndarray:
         nonlocal peak, work
         for step in steps:
-            if isinstance(step, _Run):
+            if type(step) is _Run:
                 work += step.apply(t)
+                continue
+            work += 2 * t.shape[1]
+            if step < 0:  # the first Hadamard: see _Plan
+                t = _hadamard(t, ~step)
+                peak = max(peak, 2)
             else:
-                work += 2 * t.e.size
-                t = _hadamard(t, step)
-                held = np.bincount(t.inp, minlength=inputs) + held_elsewhere
+                # no name holds the unmerged rows, so _merge can free them as it sorts
+                t = _merge(_hadamard(t, step))
+                held = np.bincount(t[_INP].view(np.int64), minlength=inputs) + held_elsewhere
                 peak = max(peak, int(held.max()))
         return t
 
     for step in plan.steps:
-        if isinstance(step, _Block):
-            outcome = t.bit(step.slot).astype(np.int64)
-            ids, t.branch = np.unique(t.branch * 2 + outcome, return_inverse=True)
-            outcomes = [{**outcomes[i >> 1], step.wire: i & 1} for i in ids.tolist()]
-            rest = t.select(outcome == 0)
-            body = run(t.select(outcome == 1), step.body,
-                       np.bincount(rest.inp, minlength=inputs))
-            t = rest.join(body)
+        if type(step) is _Block:
+            outcome = _bit(t, step.slot)
+            # number the branches anew, in order of (branch, outcome)
+            key = t[_BRANCH] * 2 + outcome
+            seen = np.zeros(2 * len(outcomes), dtype=bool)
+            seen[key] = True
+            t[_BRANCH] = (seen.cumsum() - 1).take(key)
+            outcomes = [{**outcomes[i >> 1], step.wire: i & 1}
+                        for i in seen.nonzero()[0].tolist()]
+            zero = outcome == 0
+            rest = t.compress(zero, axis=1)
+            body = run(t.compress(~zero, axis=1), step.body,
+                       np.bincount(rest[_INP].view(np.int64), minlength=inputs))
+            t = np.concatenate((rest, body), axis=1)
         else:
             t = run(t, (step,), 0)
     return t, outcomes, peak, work
 
 
 def _embed(slots: list[int], values: np.ndarray, words: int) -> np.ndarray:
-    """Rows of the basis indices ``values`` of the start wires, bit i on
-    slot ``slots[i]``, as words.  The start slots are the first, so they all
-    lie in word 0."""
-    bits = ((values[:, None] >> np.arange(len(slots))) & 1).astype(np.uint64)
-    idx = np.zeros((values.size, words), dtype=np.uint64)
-    idx[:, 0] = bits @ np.array([1 << s for s in slots], dtype=np.uint64)
+    """The basis indices ``values`` of the start wires, bit i on slot
+    ``slots[i]``, as idx words (one row per word).  The start slots are the
+    first, so they all lie in word 0."""
+    idx = np.zeros((words, values.size), dtype=np.uint64)
+    if slots == list(range(len(slots))):
+        idx[0] = values
+    else:
+        bits = ((values[:, None] >> np.arange(len(slots))) & 1).astype(np.uint64)
+        idx[0] = bits @ np.array([1 << s for s in slots], dtype=np.uint64)
     return idx
 
 
-def _unequal_amplitude(t: _Terms, inputs: int):
+def _unequal_amplitude(t: np.ndarray, inputs: int, branches: int, ordered: bool):
     """The first (branch, input) whose amplitude differs from input 0's in
     the same branch, or None.  Expects every row on its oracle image, so an
-    amplitude is its (e, coef) list."""
-    t = t.select(np.lexsort((t.e, t.inp, t.branch)))
-    bounds = np.flatnonzero(np.diff(t.branch)) + 1
-    for rows in np.split(np.arange(t.e.size), bounds):
-        counts = np.bincount(t.inp[rows], minlength=inputs)
-        differs = counts != counts[0]
-        if not differs.any():
-            e = t.e[rows].reshape(inputs, -1)
-            coef = t.coef[rows].reshape(inputs, -1)
-            differs = ((e != e[0]) | (coef != coef[0])).any(axis=1)
-        if differs.any():
-            return int(t.branch[rows[0]]), int(np.argmax(differs))
-    return None
+    amplitude is its (e, coef) list in order of e; rows in merged order
+    (``ordered``) are already in (branch, inp, e) order."""
+    if not ordered:
+        t = t.take(np.lexsort(t[_E::-1]), axis=1)
+    inp = group = t[_INP].view(np.int64)
+    if branches > 1:
+        group = t[_BRANCH].view(np.int64) * inputs + inp
+    counts = np.bincount(group, minlength=branches * inputs).reshape(branches, inputs)
+    differs = counts != counts[:, :1]
+    # Where each input of a branch holds k rows, row r of input i faces row
+    # r - i * k, of input 0; elsewhere the counts decide, and a row faces itself.
+    k = np.where(differs.any(axis=1), 0, counts[:, 0])
+    ref = np.arange(group.size) - inp * (k.take(t[_BRANCH]) if branches > 1 else k)
+    e, coef = t[_E], t[_COEF]
+    unlike = (e != e.take(ref)) | (coef != coef.take(ref))
+    differs |= (np.bincount(group, unlike, branches * inputs) > 0).reshape(branches, inputs)
+    first = differs.any(axis=1).nonzero()[0]
+    if not first.size:
+        return None
+    b = int(first[0])
+    return b, int(differs[b].argmax())
 
 
 def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> VerificationReport:
     """Certify a synthesis result against the brute-force oracle, exactly.
 
     All legal basis inputs, auxiliaries at |0>, run through the circuit at
-    once as exact sum-over-paths rows (see :class:`_Terms`), one plan step
-    at a time (see :class:`_Plan`); a conditioned block splits the rows by
-    the measured bit.  Per branch the circuit is linear, so it agrees with
-    the oracle on every superposition of legal inputs iff every row of
-    input x lands on x's oracle image (which also restores the
-    auxiliaries) and every input of the branch has the same exact
-    amplitude.  PASS means both hold.  A FAIL names a basis input that
-    lands elsewhere, or else the equal superposition of two inputs whose
-    amplitudes differ.  Circuits whose plan work exceeds ``WORK_BOUND``,
-    or with rotations finer than ``pi / 2**62``, are reported UNVERIFIABLE
-    before any row work starts, with the reason the plan met first.  No
-    random state is drawn and no tolerance applies; ``seed`` is only echoed
-    in the report.
+    once as exact sum-over-paths rows (see ``_rows``), one plan step at a
+    time (see :class:`_Plan`); a conditioned block splits the rows by the
+    measured bit.  Per branch the circuit is linear, so it agrees with the
+    oracle on every superposition of legal inputs iff every row of input x
+    lands on x's oracle image (which also restores the auxiliaries) and
+    every input of the branch has the same exact amplitude.  PASS means
+    both hold.  A FAIL names a basis input that lands elsewhere, or else
+    the equal superposition of two inputs whose amplitudes differ.
+    Circuits whose plan work exceeds ``WORK_BOUND``, or with rotations
+    finer than ``pi / 2**62``, are reported UNVERIFIABLE before any row
+    work starts, with the reason the plan met first.  No random state is
+    drawn and no tolerance applies; ``seed`` is only echoed in the report.
     """
     layout = result.layout
     report = partial(VerificationReport, construction=result.kind.value,
@@ -719,52 +755,53 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
     words = plan.words
 
     slots = [slot[q] for q in (*layout.controls, layout.target)]
+    t, outcomes, peak, work = _simulate(plan, _rows(_embed(slots, legal, words)), inputs)
     expected = _embed(slots, images, words)
-    zeros = np.zeros(inputs, dtype=np.int64)
-    rows = _Terms(zeros, np.arange(inputs), _embed(slots, legal, words),
-                  zeros.copy(), np.zeros(inputs, dtype=np.uint64),
-                  np.ones(inputs, dtype=np.int64))
-    t, outcomes, peak, work = _simulate(plan, rows, inputs)
     work *= words
-    _canonical(t)
+    # a plan that ends on a merge leaves the rows canonical, in merged order
+    merged = isinstance(plan.steps[-1], int) and plan.steps[-1] >= 0 if plan.steps else False
+    if not merged:
+        _canonical(t)
+    idx = t[_IDX:_H_ROW]
 
     # An auxiliary wire with no slot is |0> at the end.
-    aux = np.zeros(words, dtype=np.uint64)
+    aux = [0] * words
     for q in layout.aux:
         if q in slot:
-            aux[slot[q] >> 6] |= np.uint64(1 << (slot[q] & 63))
-    aux_ok = not (t.idx & aux).any()
+            aux[slot[q] >> 6] |= 1 << (slot[q] & 63)
+    aux_ok = not any((idx[j] & m).any() for j, m in enumerate(aux) if m)
 
     def label(i: int) -> str:
         y, x = divmod(int(legal[i]), 1 << n)
         return f"basis x={x:0{n}b} y={y}"
 
-    off = np.flatnonzero((t.idx != expected[t.inp]).any(axis=1))
+    branch, inp = t[_BRANCH], t[_INP]
+    off = (idx != expected.take(inp, axis=1)).any(axis=0).nonzero()[0]
     if off.size:
         # the first basis input that lands off its image, in its first branch
-        r = off[np.lexsort((t.branch[off], t.inp[off]))[0]]
-        b, i = int(t.branch[r]), int(t.inp[r])
-        mine = np.flatnonzero((t.branch == b) & (t.inp == i))
+        r = off[np.lexsort((branch[off], inp[off]))[0]]
+        b, i = int(branch[r]), int(inp[r])
+        mine = np.flatnonzero((branch == b) & (inp == i))
         # its amplitude on each basis index it reaches, the terms summed in
         # row order, and the norm over the indices in order of first reach
-        keys, first, index = np.unique(t.idx[mine], axis=0, return_index=True,
+        keys, first, index = np.unique(idx[:, mine].T, axis=0, return_index=True,
                                        return_inverse=True)
-        terms = t.terms(mine)
+        terms = _values(t, mine)
         re, im = (np.bincount(index, part) for part in (terms.real, terms.imag))
         # np.hypot is bit for bit abs(complex); float ** 2 is libm pow, which
         # can differ from numpy's x * x in the last bit, so it squares here
         size = np.hypot(re, im).tolist()
         norm = math.sqrt(sum(size[g] ** 2 for g in np.argsort(first).tolist()))
-        hit = np.flatnonzero((keys == expected[i]).all(axis=1)).tolist()
+        hit = np.flatnonzero((keys == expected[:, i]).all(axis=1)).tolist()
         infidelity = 1.0 - (size[hit[0]] if hit else 0.0) / norm
         what = label(i)
     else:
-        found = _unequal_amplitude(t, inputs)
+        found = _unequal_amplitude(t, inputs, len(outcomes), merged)
         if found is None:
             return report(verdict="PASS", basis_inputs=inputs, aux_restored=aux_ok,
                           max_branches=len(outcomes), peak_support=peak, row_updates=work)
         b, i = found
-        a0, a1 = (complex(np.sum(t.terms((t.branch == b) & (t.inp == j)))) for j in (0, i))
+        a0, a1 = (complex(np.sum(_values(t, (branch == b) & (inp == j)))) for j in (0, i))
         fidelity = abs(a0 + a1) / math.sqrt(2.0 * (abs(a0) ** 2 + abs(a1) ** 2))
         infidelity = 1.0 - fidelity
         what = f"({label(0)} + {label(i)})/sqrt2"
@@ -778,4 +815,3 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
         peak_support=peak,
         row_updates=work,
     )
-

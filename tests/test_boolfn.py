@@ -277,6 +277,32 @@ def test_walsh_hadamard_matches_sylvester_product(n):
     assert np.array_equal(v, before)  # the input is left alone
 
 
+def _butterfly_mod_2_64(v) -> list[int]:
+    """The transform in Python integers, reduced modulo 2**64."""
+    a = [int(x) for x in v]
+    step = 1
+    while step < len(a):
+        for i in range(0, len(a), 2 * step):
+            for j in range(i, i + step):
+                a[j], a[j + step] = a[j] + a[j + step], a[j] - a[j + step]
+        step *= 2
+    return [x % (1 << 64) for x in a]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_walsh_hadamard_is_exact_modulo_2_64(n):
+    """Both the small-size product and the butterfly, on +-1 vectors and
+    on int64 values whose transform overflows."""
+    rng = np.random.default_rng([13, n])
+    for v in (rng.choice([-1, 1], size=1 << n),
+              rng.integers(-(1 << 63), 1 << 63, size=1 << n, dtype=np.int64),
+              np.full(1 << n, (1 << 63) - 1, dtype=np.int64),
+              np.full(1 << n, -(1 << 63), dtype=np.int64)):
+        got = walsh_hadamard(v)
+        assert got.dtype == np.int64
+        assert got.view(np.uint64).tolist() == _butterfly_mod_2_64(v)
+
+
 @given(st.integers(0, 3).flatmap(
     lambda n: st.lists(st.integers(-50, 50), min_size=1 << n, max_size=1 << n)
 ))

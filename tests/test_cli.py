@@ -294,18 +294,20 @@ def test_table_deterministic_bytes(capsys):
 def test_closed_output_pipe_ends_quietly(argv):
     """Closing standard output after one line, as ``| head -1`` does, ends
     the command with status 141 and nothing on standard error.  Every output
-    is far larger than a pipe holds, so the closed pipe is always met.  Output
-    is buffered, as by default: unbuffered (``PYTHONUNBUFFERED``), the
-    interpreter drops the rest of a single write cut short by the closed pipe
-    without an error, so the command may never meet it."""
+    is far larger than a pipe holds, so the closed pipe is always met.  Each
+    command runs with output buffered, as by default, and unbuffered
+    (``PYTHONUNBUFFERED``), where a single write cut short by the closed pipe
+    takes only part of the bytes and raises nothing."""
     src = str(Path(fcnot.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen([sys.executable, "-m", "fcnot.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert err == b""
-    assert proc.returncode == 141
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen([sys.executable, "-m", "fcnot.cli", *argv],
+                                env={**env, **unbuffered},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b"", unbuffered
+        assert proc.returncode == 141, unbuffered

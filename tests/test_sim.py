@@ -581,22 +581,19 @@ def path_sum_branches(c: Circuit, start, index: int) -> dict:
     plan's rows."""
     plan = sim._Plan(c, start, 1)
     words = (len(plan.slot) + 63) >> 6
-    idx = np.zeros((1, words), dtype=np.uint64)
+    idx = np.zeros((words, 1), dtype=np.uint64)
     for q in start:
         if index >> q & 1:
-            idx[0, plan.slot[q] >> 6] |= np.uint64(1 << (plan.slot[q] & 63))
-    zero = np.zeros(1, dtype=np.int64)
-    rows = sim._Terms(zero, zero.copy(), idx, zero.copy(), np.zeros(1, dtype=np.uint64),
-                      np.ones(1, dtype=np.int64))
-    t, outcomes, _, work = sim._simulate(plan, rows, 1)
+            idx[plan.slot[q] >> 6, 0] |= np.uint64(1 << (plan.slot[q] & 63))
+    t, outcomes, _, work = sim._simulate(plan, sim._rows(idx), 1)
     assert work <= plan.work
     sim._canonical(t)
     out: dict = {}
-    for r in range(t.e.size):
-        full = sum(int(t.bit(slot)[r]) << q for q, slot in plan.slot.items())
-        key = tuple(sorted(outcomes[t.branch[r]].items()))
+    for r in range(t.shape[1]):
+        full = sum(int(sim._bit(t, slot)[r]) << q for q, slot in plan.slot.items())
+        key = tuple(sorted(outcomes[t[sim._BRANCH, r]].items()))
         out.setdefault(key, np.zeros(1 << c.qubit_count, dtype=complex))[full] += (
-            t.terms([r])[0])
+            sim._values(t, [r])[0])
     return out
 
 
