@@ -288,9 +288,9 @@ _SIGN, _LOW = np.uint64(1 << _MAX_K), np.uint64((1 << _MAX_K) - 1)
 # for every circuit: each angle verify() takes on is a multiple of ``pi /
 # 2**62``.  The matrix rows are ``branch``, ``inp``, ``e``, then the words
 # of ``idx``, then ``h`` and ``coef`` (an int64 bit pattern), so the leading
-# rows ``t[:_H_ROW]`` are a merge's sort keys in order.  Rows hold only the
-# plan's slots, the wires that can be nonzero at some step boundary; every
-# other wire is |0> there.  Slot s is bit ``s % 64`` of matrix row ``_IDX +
+# rows ``t[:_H_ROW]`` are a merge's sort keys in order.  A path-sum row
+# holds only the plan's slots, the wires that can be nonzero at some step
+# boundary; every other wire is |0> there.  Slot s is bit ``s % 64`` of matrix row ``_IDX +
 # s // 64``.  Phases add to ``e``, which only has to be right modulo the
 # period ``2**63`` of ``w``.  Since ``w**(2**62) = -1``, the powers ``w**0 ..
 # w**(2**62 - 1)`` are an integer basis of the amplitudes: before each merge
@@ -358,17 +358,20 @@ def _canonical(t: np.ndarray) -> None:
 
 
 def _merge(t: np.ndarray) -> np.ndarray:
-    """Sum the rows that share (branch, inp, e, idx) and drop zero rows."""
+    """Sum the rows that share (branch, inp, e, idx) and drop zero rows.
+    Only the keys and coefficients are sorted; the other rows are gathered
+    once, as merged."""
     _canonical(t)
-    t = t.take(np.lexsort(t[_H_ROW - 1::-1]), axis=1)
-    keys = t[:_H_ROW]
-    new = np.empty(t.shape[1], dtype=bool)
+    order = np.lexsort(t[_H_ROW - 1::-1])
+    keys = t[:_H_ROW].take(order, axis=1)
+    new = np.empty(order.size, dtype=bool)
     new[:1] = True
     (keys[:, 1:] != keys[:, :-1]).any(axis=0, out=new[1:])
+    del keys
     starts = new.nonzero()[0]
-    coef = np.add.reduceat(_coef(t), starts)
+    coef = np.add.reduceat(_coef(t).take(order), starts)
     keep = coef != 0
-    t = t.take(starts[keep], axis=1)
+    t = t.take(order.take(starts[keep]), axis=1)
     t[_COEF] = coef[keep]
     return t
 
@@ -653,7 +656,8 @@ def _simulate(plan: _Plan, t: np.ndarray, inputs: int):
                 t = _hadamard(t, ~step)
                 peak = max(peak, 2)
             else:
-                # no name holds the unmerged rows, so _merge can free them as it sorts
+                # no name here holds the unmerged rows, so _merge frees them
+                # once it has gathered the merged ones
                 t = _merge(_hadamard(t, step))
                 held = np.bincount(t[_INP].view(np.int64), minlength=inputs) + held_elsewhere
                 peak = max(peak, int(held.max()))
@@ -699,15 +703,14 @@ def _unequal_amplitude(t: np.ndarray, inputs: int, branches: int, ordered: bool)
     (``ordered``) are already in (branch, inp, e) order."""
     if not ordered:
         t = t.take(np.lexsort(t[_E::-1]), axis=1)
-    inp = group = t[_INP].view(np.int64)
-    if branches > 1:
-        group = t[_BRANCH].view(np.int64) * inputs + inp
+    branch, inp = t[_BRANCH].view(np.int64), t[_INP].view(np.int64)
+    group = branch * inputs + inp
     counts = np.bincount(group, minlength=branches * inputs).reshape(branches, inputs)
     differs = counts != counts[:, :1]
     # Where each input of a branch holds k rows, row r of input i faces row
     # r - i * k, of input 0; elsewhere the counts decide, and a row faces itself.
     k = np.where(differs.any(axis=1), 0, counts[:, 0])
-    ref = np.arange(group.size) - inp * (k.take(t[_BRANCH]) if branches > 1 else k)
+    ref = np.arange(group.size) - inp * k.take(branch)
     e, coef = t[_E], t[_COEF]
     unlike = (e != e.take(ref)) | (coef != coef.take(ref))
     differs |= (np.bincount(group, unlike, branches * inputs) > 0).reshape(branches, inputs)
@@ -758,8 +761,9 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
     t, outcomes, peak, work = _simulate(plan, _rows(_embed(slots, legal, words)), inputs)
     expected = _embed(slots, images, words)
     work *= words
-    # a plan that ends on a merge leaves the rows canonical, in merged order
-    merged = isinstance(plan.steps[-1], int) and plan.steps[-1] >= 0 if plan.steps else False
+    last = plan.steps[-1] if plan.steps else None
+    # rows the last step merged are canonical, and in merged order
+    merged = type(last) is int and last >= 0
     if not merged:
         _canonical(t)
     idx = t[_IDX:_H_ROW]
