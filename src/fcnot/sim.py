@@ -392,8 +392,6 @@ def _hadamard(t: np.ndarray, s: int) -> np.ndarray:
 def _words(masks: list[int], words: int) -> np.ndarray:
     """Slot masks as columns of uint64 words, laid out like the idx rows of
     the path-sum matrix: word j of mask i is ``[j, i]``."""
-    if words == 1:
-        return np.array(masks, dtype=np.uint64)[None]
     data = b"".join(m.to_bytes(8 * words, "little") for m in masks)
     return np.frombuffer(data, dtype="<u8").reshape(-1, words).T
 
@@ -409,18 +407,10 @@ def _parity(idx: np.ndarray, masks: list[int]) -> np.ndarray:
 
 def _gather(a: np.ndarray, slots: list[int]) -> np.ndarray:
     """Pack the bits at the ascending ``slots`` of each column of words
-    ``a`` into one integer per column, a run of neighbouring slots in one
-    word at a time."""
+    ``a`` into one integer per column."""
     out = np.zeros(a.shape[1], dtype=np.uint64)
-    j = 0
-    while j < len(slots):
-        s = slots[j]
-        width = 1
-        while (j + width < len(slots) and slots[j + width] == s + width
-               and (s + width) & 63):
-            width += 1
-        out |= ((a[s >> 6] >> (s & 63)) & ((1 << width) - 1)) << j
-        j += width
+    for j, s in enumerate(slots):
+        out |= ((a[s >> 6] >> (s & 63)) & _ONE) << j
     return out
 
 
@@ -666,13 +656,8 @@ def _simulate(plan: _Plan, t: np.ndarray, inputs: int):
     for step in plan.steps:
         if type(step) is _Block:
             outcome = _bit(t, step.slot)
-            # number the branches anew, in order of (branch, outcome)
-            key = t[_BRANCH] * 2 + outcome
-            seen = np.zeros(2 * len(outcomes), dtype=bool)
-            seen[key] = True
-            t[_BRANCH] = (seen.cumsum() - 1).take(key)
-            outcomes = [{**outcomes[i >> 1], step.wire: i & 1}
-                        for i in seen.nonzero()[0].tolist()]
+            ids, t[_BRANCH] = np.unique(t[_BRANCH] * 2 + outcome, return_inverse=True)
+            outcomes = [{**outcomes[i >> 1], step.wire: i & 1} for i in ids.tolist()]
             zero = outcome == 0
             rest = t.compress(zero, axis=1)
             body = run(t.compress(~zero, axis=1), step.body,
