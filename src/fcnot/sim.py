@@ -22,7 +22,7 @@ parity or by one integer Walsh-Hadamard transform, whichever the run's own
 counts make cheaper.  Rows hold only the wires that can be nonzero between
 steps: n + 1 for emitted circuits, one 64-bit word, so every construction
 verifies up to n = 16 (general-depth1 at n = 16, 131071 qubits, in about
-0.2 s on a 2-vCPU Xeon VM; the other constructions in 0.05 to 0.17 s).
+0.2 s on a 2-vCPU Xeon VM; the other constructions in 0.03 to 0.14 s).
 There is no qubit cap; circuits whose plan work exceeds ``WORK_BOUND`` row
 updates, or with a rotation finer than ``pi / 2**62``, are reported
 UNVERIFIABLE before any row work starts.  No random state is drawn and no
@@ -743,8 +743,9 @@ def verify(result: SynthesisResult, f: TruthTable, *, seed: int = 1) -> Verifica
     words = plan.words
 
     slots = [slot[q] for q in (*layout.controls, layout.target)]
-    t, outcomes, peak, work = _simulate(plan, _rows(_embed(slots, legal, words)), inputs)
+    # each embedding's temporaries come and go before the rows grow
     expected = _embed(slots, images, words)
+    t, outcomes, peak, work = _simulate(plan, _rows(_embed(slots, legal, words)), inputs)
     work *= words
     last = plan.steps[-1] if plan.steps else None
     # rows the last step merged are canonical, and in merged order
