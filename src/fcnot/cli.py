@@ -87,7 +87,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
               f"{DIAGRAM_BYTES}-byte bound; use --out qasm", file=sys.stderr)
         return EXIT_SIZE
     _STDOUT.write(export.to_text_diagram(circuit, max_columns=args.max_columns))
-    _STDOUT.write("\n")
+    _STDOUT.write("\n")  # apart, so the diagram of up to 128 MiB is not copied
     return EXIT_OK
 
 

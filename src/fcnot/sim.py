@@ -410,7 +410,7 @@ def _gather(a: np.ndarray, slots: list[int]) -> np.ndarray:
     ``a`` into one integer per column."""
     out = np.zeros(a.shape[1], dtype=np.uint64)
     for j, s in enumerate(slots):
-        out |= ((a[s >> 6] >> (s & 63)) & _ONE) << j
+        out |= ((a[s >> 6] >> (s & 63)) & 1) << j
     return out
 
 
@@ -475,15 +475,15 @@ class _Run:
             spectrum = walsh_hadamard(table.view(np.int64)).view(np.uint64)
             # 2 * phase(z) is exact modulo 2**64, so phase(z) is exact
             # modulo 2**63, the period of w.
-            t[_E] += (table.sum() - spectrum)[_gather(idx, self.support)] >> _ONE
+            t[_E] += (table.sum() - spectrum)[_gather(idx, self.support)] >> 1
         elif self.masks:
             t[_E] += self.exponents @ parity[len(self.slots):]
         if self.constant:
-            t[_E] += np.uint64(self.constant)
+            t[_E] += self.constant
         for j, s in enumerate(self.slots):
             word = t[_IDX + (s >> 6)]
             word &= ~np.uint64(1 << (s & 63))
-            word |= (parity[j] ^ np.uint64(self.flips[j])) << np.uint64(s & 63)
+            word |= (parity[j] ^ self.flips[j]) << (s & 63)
         return cost
 
 
@@ -598,34 +598,34 @@ class _Plan:
         return steps
 
     def _end_run(self, acc: dict[int, int], changed: set[int], steps: list) -> None:
-        if acc or changed:
-            phases: dict[int, int] = {}
-            constant = 0
-            for m, a in acc.items():
-                if m & 1:  # the wire holds 1 XOR parity: a phase on 1 - parity
-                    constant += a
-                    a = -a
-                if m > 1:
-                    phases[m >> 1] = phases.get(m >> 1, 0) + a
-            phases = {m: a % _PERIOD for m, a in phases.items() if a % _PERIOD}
-            masks, live, slot = self.masks, self.live, self.slot
-            rewrites = {}
-            for q in sorted(changed):
-                m = masks[q]
-                if m != (2 << slot[q] if q in live else 0):
-                    rewrites[self._slot_of(q)] = m
-            if phases or constant % _PERIOD or rewrites:
-                run = _Run(phases, constant % _PERIOD, rewrites)
-                self.work += run.cost(self.rows)[0]
-                steps.append(run)
+        phases: dict[int, int] = {}
+        constant = 0
+        for m, a in acc.items():
+            if m & 1:  # the wire holds 1 XOR parity: a phase on 1 - parity
+                constant += a
+                a = -a
+            if m > 1:
+                phases[m >> 1] = phases.get(m >> 1, 0) + a
+        phases = {m: a % _PERIOD for m, a in phases.items() if a % _PERIOD}
+        constant %= _PERIOD
+        masks, live, slot = self.masks, self.live, self.slot
+        rewrites = {}
+        for q in sorted(changed):
+            m = masks[q]
+            if m != (2 << slot[q] if q in live else 0):
+                rewrites[self._slot_of(q)] = m
+        if phases or constant or rewrites:
+            run = _Run(phases, constant, rewrites)
+            self.work += run.cost(self.rows)[0]
+            steps.append(run)
         if self.work * self.words > WORK_BOUND:
             raise _Refused(f"unverifiable at this size (at least {self.work * self.words}"
                            f" row updates > bound {WORK_BOUND})")
         for q in changed:
-            if self.masks[q]:
+            if masks[q]:
                 self._go_live(q)
             else:
-                self.live.discard(q)
+                live.discard(q)
 
 
 def _simulate(plan: _Plan, t: np.ndarray, inputs: int):
