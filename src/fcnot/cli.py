@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -33,24 +34,6 @@ _VERDICT_EXIT = {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "UNVERIFIABLE": EXIT_SIZE}
 #: ``export.diagram_bytes_floor`` before drawing.  general-depth1 passes at
 #: n = 10 (a 117 MB diagram) and is refused from n = 11.
 DIAGRAM_BYTES = 1 << 27
-
-
-class _Stdout:
-    """Standard output as the commands write it: each text is encoded as
-    ``sys.stdout`` encodes it and handed in full to the byte stream below.
-    Unbuffered (``python -u``, ``PYTHONUNBUFFERED``) that stream is the raw
-    file, whose write into a pipe may take only part of the bytes, and the
-    text layer drops the rest without an error, so the reader closing the
-    pipe could go unseen.  Here the rest is written again, and meets the
-    closed pipe."""
-
-    def write(self, text: str) -> None:
-        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-        while data:
-            data = data[sys.stdout.buffer.write(data):]
-
-
-_STDOUT = _Stdout()
 
 
 def _construction(name: str) -> synth.ConstructionKind:
@@ -79,15 +62,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.merge_s:
         circuit = merge_s_gate(circuit)
     if args.out == "qasm":
-        _STDOUT.write(export.to_qasm(circuit))
+        sys.stdout.write(export.to_qasm(circuit))
         return EXIT_OK
     size = export.diagram_bytes_floor(circuit)
     if size > DIAGRAM_BYTES:
         print(f"error: the text diagram would take at least {size} bytes, over the "
               f"{DIAGRAM_BYTES}-byte bound; use --out qasm", file=sys.stderr)
         return EXIT_SIZE
-    _STDOUT.write(export.to_text_diagram(circuit, max_columns=args.max_columns))
-    _STDOUT.write("\n")  # apart, so the diagram of up to 128 MiB is not copied
+    print(export.to_text_diagram(circuit, max_columns=args.max_columns))
     return EXIT_OK
 
 
@@ -95,14 +77,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     f = boolfn.parse_function(args.func)
     result = synth.synthesize(f, args.construction)
     report = sim.verify(result, f, seed=args.seed)
-    _STDOUT.write(report.to_json() + "\n")
+    print(report.to_json())
     return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     f = boolfn.parse_function(args.func)
     result = synth.synthesize(f, args.construction)
-    _STDOUT.write(json.dumps(result.metrics()) + "\n")
+    print(json.dumps(result.metrics()))
     return EXIT_OK
 
 
@@ -121,8 +103,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             )
         )
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    _STDOUT.write("".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                         + "\n" for row in rows))
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return EXIT_OK
 
 
@@ -151,7 +133,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         tables = (boolfn.TruthTable(n, tuple(rng.integers(0, 2, size=1 << n).tolist()))
                   for _ in range(args.sample))
 
-    writer = csv.writer(_STDOUT, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         ["function", "qubits", "ancillas", "cnot", "r1_total",
          "r1_non_clifford", "rotation_depth", "measurements", "verify"]
@@ -221,6 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    raw = getattr(sys.stdout, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        # Unbuffered (python -u, PYTHONUNBUFFERED), a write into a pipe may
+        # take only part of the bytes, and the text layer drops the rest
+        # without an error, so a closed pipe could go unseen.  A buffered
+        # writer writes the rest again and meets it; flushing at each
+        # newline keeps the lines appearing as they are written.
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw), sys.stdout.encoding,
+                                      sys.stdout.errors, line_buffering=True)
     try:
         status = args.func_impl(args)
         sys.stdout.flush()  # so a closed pipe is met here
